@@ -39,7 +39,7 @@ from .constitutive import (
     renormalized_conductivity_potential,
     renormalized_heat_content,
 )
-from .fieldops import EVEN, ODD, _component_gradients, curl, d1, dissipation, divergence
+from .fieldops import EVEN, ODD, dissipation, gradient, table_curl, vector_gradient
 from .grid import Grid
 from .solver import IncidentLog, SchemeParams, State
 
@@ -134,16 +134,12 @@ def total_energy(grid: Grid, law: ConstitutiveLaw, state: State):
 
 
 def _h1_norm(grid: Grid, f: np.ndarray, parity: int) -> float:
-    if f.ndim == 3:
-        comps = f[None]
-    else:
-        comps = f
+    comps = f.reshape((-1,) + grid.shape)
     sq = 0.0
-    for c in comps:
+    for c, grad_c in zip(comps, vector_gradient(grid, comps, parity)):
         sq += np.sum(grid.quad_weights * c * c)
-        for a in range(3):
-            g = d1(grid, c, a, parity)
-            sq += np.sum(grid.quad_weights * g * g)
+        for a in grid.active_axes:
+            sq += np.sum(grid.quad_weights * grad_c[a] * grad_c[a])
     return float(np.sqrt(sq))
 
 
@@ -180,14 +176,16 @@ def record(
     log_rho = np.log1p(rho)
     rho_beta = np.power(rho, beta)
 
-    du = _component_gradients(grid, u)
-    visc = grid.integrate(dissipation(grid, law, u, theta, du=du))
-    curl_H = curl(grid, H, ODD)
+    du = vector_gradient(grid, u)
+    dH = vector_gradient(grid, H)
+    diss = dissipation(law, du, theta)
+    visc = grid.integrate(diss)
+    curl_H = table_curl(dH)
     mag_diss = law.nu * grid.integrate(np.sum(curl_H * curl_H, axis=0))
-    div_H = grid.norm_l2(divergence(grid, H))
+    div_H = grid.norm_l2(dH[0, 0] + dH[1, 1] + dH[2, 2])
 
-    grad_rho_sq = sum(d1(grid, rho, a, EVEN) ** 2 for a in range(3))
-    grad_theta_sq = sum(d1(grid, theta, a, EVEN) ** 2 for a in range(3))
+    grad_rho_sq = sum(g**2 for g in gradient(grid, rho))
+    grad_theta_sq = sum(g**2 for g in gradient(grid, theta))
 
     theta_min = float(np.min(theta))
     if theta_min < THETA_ENTROPY_FLOOR:
@@ -197,9 +195,7 @@ def record(
         entropy_sink = math.nan
     else:
         entropy_total = grid.integrate(rho * entropy(law, rho, theta))
-        heating = dissipation(grid, law, u, theta, du=du) + law.nu * np.sum(
-            curl_H * curl_H, axis=0
-        )
+        heating = diss + law.nu * np.sum(curl_H * curl_H, axis=0)
         prod_mech = grid.integrate(heating / theta)
         prod_thermal = grid.integrate(law.kappa(theta) * grad_theta_sq / theta**2)
         entropy_sink = grid.integrate(
@@ -604,15 +600,13 @@ def thermal_weak_residual(
         h_w = ren(theta)
         q_h = renormalized_heat_content(law, ren, theta)
         k_h = renormalized_conductivity_potential(law, ren, theta)
-        du = _component_gradients(grid, u)
-        divu = du[0][0] + du[1][1] + du[2][2]
-        curl_H = curl(grid, H, ODD)
-        heating = dissipation(grid, law, u, theta, du=du) + law.nu * np.sum(
-            curl_H * curl_H, axis=0
-        )
-        grad_theta = [d1(grid, theta, a, EVEN) for a in range(3)]
+        du = vector_gradient(grid, u)
+        divu = du[0, 0] + du[1, 1] + du[2, 2]
+        curl_H = table_curl(vector_gradient(grid, H))
+        heating = dissipation(law, du, theta) + law.nu * np.sum(curl_H * curl_H, axis=0)
+        grad_theta = gradient(grid, theta)
         grad_theta_sq = grad_theta[0] ** 2 + grad_theta[1] ** 2 + grad_theta[2] ** 2
-        grad_rho = [d1(grid, rho, a, EVEN) for a in range(3)]
+        grad_rho = gradient(grid, rho)
         # g = Q_h - Q h; its theta-derivative collapses to -Q h' because the
         # c_v h pieces cancel
         g = q_h - heat_content(law, theta) * h_w

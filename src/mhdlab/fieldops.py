@@ -8,8 +8,18 @@ family: density, temperature, pressure-like scalars).  Interior stencils
 never see the ghosts, so composed identities like div(curl F) = 0 cancel
 exactly away from the walls.
 
-Composite operators (viscous stress divergence, double curl) are assembled
-term by term so each outer derivative uses the parity the inner term
+Active-axis rule: every operator applies d1/d2 only along
+grid.active_axes.  Derivatives along a suppressed axis are exact zeros and
+are never computed.
+
+Gradient table: vector_gradient(grid, F, parity) returns G with
+G[i, j] = d_j F_i, built with one stacked d1 per active axis.  table_curl,
+double_curl, stress_tensor, stress_divergence and dissipation read a table,
+so a caller that needs several of them computes the table once and passes
+it on.
+
+Composite operators (viscous stress divergence, double curl) apply the
+outer derivative term by term so each uses the parity the inner term
 actually has along that axis: d/dx_j of u_i flips the parity along x_j and
 leaves the other axes alone.
 """
@@ -22,7 +32,6 @@ import numpy as np
 
 from .constitutive import Const, ConstitutiveLaw
 from .grid import Grid
-from .snapshots import read_snapshot, write_snapshot
 
 EVEN = 1
 ODD = -1
@@ -32,11 +41,12 @@ __all__ = [
     "ODD",
     "d1",
     "d2",
+    "vector_gradient",
     "gradient",
     "divergence",
+    "table_curl",
     "curl",
     "laplacian",
-    "vector_laplacian",
     "stress_tensor",
     "stress_divergence",
     "dissipation",
@@ -45,17 +55,16 @@ __all__ = [
     "double_curl",
     "IdentityResidual",
     "identity_residual",
-    "read_snapshot",
-    "write_snapshot",
 ]
 
 
 def _ax_slices(axis: int):
-    pre = (slice(None),) * axis
+    """Index builder along grid axis `axis` of an array whose last three
+    axes are the grid axes (leading component axes pass through)."""
     post = (slice(None),) * (2 - axis)
 
     def sl(s):
-        return pre + (s,) + post
+        return (Ellipsis, s) + post
 
     return sl
 
@@ -66,7 +75,7 @@ def d1(grid: Grid, f: np.ndarray, axis: int, parity: int) -> np.ndarray:
     if n == 1:
         return np.zeros_like(f)
     h = grid.spacing[axis]
-    sl = _ax_slices(axis + (f.ndim - 3))
+    sl = _ax_slices(axis)
     out = np.empty_like(f)
     out[sl(slice(1, -1))] = (f[sl(slice(2, None))] - f[sl(slice(None, -2))]) / (2.0 * h)
     if parity == EVEN:
@@ -85,7 +94,7 @@ def d2(grid: Grid, f: np.ndarray, axis: int, parity: int) -> np.ndarray:
         return np.zeros_like(f)
     h = grid.spacing[axis]
     h2 = h * h
-    sl = _ax_slices(axis + (f.ndim - 3))
+    sl = _ax_slices(axis)
     out = np.empty_like(f)
     out[sl(slice(1, -1))] = (
         f[sl(slice(2, None))] - 2.0 * f[sl(slice(1, -1))] + f[sl(slice(None, -2))]
@@ -99,79 +108,67 @@ def d2(grid: Grid, f: np.ndarray, axis: int, parity: int) -> np.ndarray:
     return out
 
 
+def vector_gradient(grid: Grid, F: np.ndarray, parity: int = ODD) -> np.ndarray:
+    """Gradient table G[..., j, :, :, :] = d_j F[...]; for a vector field
+    G[i, j] = d_j F_i.  Columns of suppressed axes are exact zeros."""
+    G = np.zeros(F.shape[:-3] + (3,) + F.shape[-3:])
+    for j in grid.active_axes:
+        G[..., j, :, :, :] = d1(grid, F, j, parity)
+    return G
+
+
 def gradient(grid: Grid, f: np.ndarray, parity: int = EVEN) -> np.ndarray:
-    return np.stack([d1(grid, f, a, parity) for a in range(3)])
+    """grad f of a scalar field (the gradient table of f)."""
+    return vector_gradient(grid, f, parity)
 
 
 def divergence(grid: Grid, F: np.ndarray, parity: int = ODD) -> np.ndarray:
-    out = d1(grid, F[0], 0, parity)
-    out += d1(grid, F[1], 1, parity)
-    out += d1(grid, F[2], 2, parity)
+    """sum_j d_j F[..., j, :, :, :]; leading axes stack several fields."""
+    out = np.zeros(F.shape[:-4] + F.shape[-3:])
+    for a in grid.active_axes:
+        out += d1(grid, F[..., a, :, :, :], a, parity)
     return out
+
+
+def table_curl(G: np.ndarray) -> np.ndarray:
+    """curl F from the gradient table G[i, j] = d_j F_i."""
+    return np.stack([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
 
 
 def curl(grid: Grid, F: np.ndarray, parity: int = ODD) -> np.ndarray:
-    return np.stack(
-        [
-            d1(grid, F[2], 1, parity) - d1(grid, F[1], 2, parity),
-            d1(grid, F[0], 2, parity) - d1(grid, F[2], 0, parity),
-            d1(grid, F[1], 0, parity) - d1(grid, F[0], 1, parity),
-        ]
-    )
+    return table_curl(vector_gradient(grid, F, parity))
 
 
 def laplacian(grid: Grid, f: np.ndarray, parity: int = EVEN) -> np.ndarray:
-    out = d2(grid, f, 0, parity)
-    out += d2(grid, f, 1, parity)
-    out += d2(grid, f, 2, parity)
+    out = np.zeros_like(f)
+    for a in grid.active_axes:
+        out += d2(grid, f, a, parity)
     return out
 
 
-def vector_laplacian(grid: Grid, F: np.ndarray, parity: int = ODD) -> np.ndarray:
-    return np.stack([laplacian(grid, F[c], parity) for c in range(3)])
-
-
 # ---------------------------------------------------------------------------
-# viscous stress
+# viscous stress; du is the velocity gradient table du[i, j] = d_j u_i
 # ---------------------------------------------------------------------------
 
 
-def velocity_gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """J[i,j] = d u_j / d x_i for a wall-vanishing vector field."""
-    return np.stack(
-        [np.stack([d1(grid, u[j], i, ODD) for j in range(3)]) for i in range(3)]
-    )
-
-
-def _component_gradients(grid: Grid, u: np.ndarray):
-    """du[i][j] = d u_i / d x_j as a nested list (note the index order)."""
-    return [[d1(grid, u[i], j, ODD) for j in range(3)] for i in range(3)]
-
-
-def stress_tensor(grid: Grid, law: ConstitutiveLaw, u, theta) -> np.ndarray:
+def stress_tensor(law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
     """psi_ij = mu(theta) (d_i u_j + d_j u_i) + lam(theta) div(u) delta_ij."""
-    J = velocity_gradient(grid, u)
     mu = law.mu(theta)
     lam = law.lam(theta)
-    divu = J[0, 0] + J[1, 1] + J[2, 2]
-    psi = mu * (J + np.swapaxes(J, 0, 1))
+    divu = du[0, 0] + du[1, 1] + du[2, 2]
+    psi = mu * (du + np.swapaxes(du, 0, 1))
     for i in range(3):
         psi[i, i] += lam * divu
     return psi
 
 
-def dissipation(grid: Grid, law: ConstitutiveLaw, u, theta, du=None) -> np.ndarray:
-    """psi : grad u = (mu/2) sum_ij (d_i u_j + d_j u_i)^2 + lam (div u)^2.
-
-    Pass du from _component_gradients to reuse stencil work.
-    """
-    if du is None:
-        du = _component_gradients(grid, u)
-    divu = du[0][0] + du[1][1] + du[2][2]
+def dissipation(law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
+    """psi : grad u = (mu/2) sum_ij (d_i u_j + d_j u_i)^2 + lam (div u)^2."""
+    divu = du[0, 0] + du[1, 1] + du[2, 2]
     acc = np.zeros_like(divu)
     for i in range(3):
         for j in range(3):
-            sym = du[i][j] + du[j][i]
+            sym = du[i, j] + du[j, i]
             acc += sym * sym
     out = 0.5 * law.mu(theta) * acc
     if not _is_zero_coeff(law.lam):
@@ -183,7 +180,7 @@ def _is_zero_coeff(fn) -> bool:
     return isinstance(fn, Const) and fn.c == 0.0
 
 
-def stress_divergence(grid: Grid, law: ConstitutiveLaw, u, theta, du=None) -> np.ndarray:
+def stress_divergence(grid: Grid, law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
     """(div psi)_i, assembled term by term with parity-correct outer stencils.
 
     d_j u_i is EVEN along axis j (odd field, one derivative) and the
@@ -193,19 +190,19 @@ def stress_divergence(grid: Grid, law: ConstitutiveLaw, u, theta, du=None) -> np
       d_i [lam d_k u_k] -> EVEN along i when k = i, ODD otherwise
     """
     mu = law.mu(theta)
-    lam = law.lam(theta)
-    if du is None:
-        du = _component_gradients(grid, u)
     out = grid.vector_field()
-    for i in range(3):
-        acc = out[i]
-        for j in range(3):
-            acc += d1(grid, mu * du[i][j], j, EVEN)
-            acc += d1(grid, mu * du[j][i], j, EVEN if i == j else ODD)
-        if _is_zero_coeff(law.lam):
-            continue
-        for k in range(3):
-            acc += d1(grid, lam * du[k][k], i, EVEN if i == k else ODD)
+    for j in grid.active_axes:
+        along = d1(grid, mu * du[:, j], j, EVEN)
+        across = d1(grid, mu * du[j], j, ODD)
+        across[j] = along[j]
+        out += along
+        out += across
+    if _is_zero_coeff(law.lam):
+        return out
+    lam = law.lam(theta)
+    for i in grid.active_axes:
+        for k in grid.active_axes:
+            out[i] += d1(grid, lam * du[k, k], i, EVEN if i == k else ODD)
     return out
 
 
@@ -219,37 +216,34 @@ def lorentz_force(grid: Grid, H: np.ndarray) -> np.ndarray:
     return np.cross(curl(grid, H), H, axis=0)
 
 
-def double_curl(grid: Grid, H: np.ndarray) -> np.ndarray:
-    """curl(curl H) with parity-correct outer stencils.
+def double_curl(grid: Grid, dH: np.ndarray) -> np.ndarray:
+    """curl(curl H) from the table dH[i, j] = d_j H_i.
 
     (curl H)_c is a sum of terms d_a H_b; each is EVEN along a and ODD along
-    the other axes, so the outer derivative is applied per term.
+    the other axes, so the outer derivative is applied per term: along[j][i]
+    = d_j d_j H_i and across[j][i] = d_j d_i H_j (for i != j).
     """
-    terms = {}
-
-    def dH(b, a):
-        if (b, a) not in terms:
-            terms[(b, a)] = d1(grid, H[b], a, ODD)
-        return terms[(b, a)]
-
-    def outer(b, a, axis):
-        # derivative along `axis` of d_a H_b
-        return d1(grid, dH(b, a), axis, EVEN if axis == a else ODD)
-
-    # curl H = (d1H2 - d2H1, d2H0 - d0H2, d0H1 - d1H0)
-    cc0 = outer(1, 0, 1) - outer(0, 1, 1) - outer(0, 2, 2) + outer(2, 0, 2)
-    cc1 = outer(2, 1, 2) - outer(1, 2, 2) - outer(1, 0, 0) + outer(0, 1, 0)
-    cc2 = outer(0, 2, 0) - outer(2, 0, 0) - outer(2, 1, 1) + outer(1, 2, 1)
-    return np.stack([cc0, cc1, cc2])
+    along = np.zeros_like(dH)
+    across = np.zeros_like(dH)
+    for j in grid.active_axes:
+        along[j] = d1(grid, dH[:, j], j, EVEN)
+        across[j] = d1(grid, dH[j], j, ODD)
+    return np.stack(
+        [
+            across[1, 0] - along[1, 0] - along[2, 0] + across[2, 0],
+            across[2, 1] - along[2, 1] - along[0, 1] + across[0, 1],
+            across[0, 2] - along[0, 2] - along[1, 2] + across[1, 2],
+        ]
+    )
 
 
-def induction_rhs(grid: Grid, law: ConstitutiveLaw, u, H) -> np.ndarray:
-    """curl(u x H) - nu curl(curl H).
+def induction_rhs(grid: Grid, law: ConstitutiveLaw, u, H, dH) -> np.ndarray:
+    """curl(u x H) - nu curl(curl H), with dH the gradient table of H.
 
     u x H is a product of two odd fields, hence EVEN along every axis.
     """
     e = np.cross(u, H, axis=0)
-    return curl(grid, e, parity=EVEN) - law.nu * double_curl(grid, H)
+    return curl(grid, e, parity=EVEN) - law.nu * double_curl(grid, dH)
 
 
 # ---------------------------------------------------------------------------

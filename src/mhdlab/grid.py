@@ -45,6 +45,25 @@ class Grid:
         )
 
     @cached_property
+    def _walls(self) -> tuple:
+        # index of each wall slab along the last three (grid) axes of an array
+        return tuple(
+            (Ellipsis, pos) + (slice(None),) * (2 - a)
+            for a in self.active_axes
+            for pos in (0, -1)
+        )
+
+    def zero_walls(self, f: np.ndarray) -> np.ndarray:
+        """Set every wall slab of f (any leading component axes) to zero in place."""
+        for w in self._walls:
+            f[w] = 0.0
+        return f
+
+    def wall_max(self, f: np.ndarray) -> float:
+        """Largest |f| on the walls; 0 when no axis is active."""
+        return max([0.0] + [float(np.max(np.abs(f[w]))) for w in self._walls])
+
+    @cached_property
     def spacing_active(self) -> tuple[float, ...]:
         return tuple(self.spacing[a] for a in self.active_axes)
 

@@ -22,35 +22,27 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .errors import InvariantViolation, NumericalAbort
-from .fieldops import ODD, d1, divergence
+from .fieldops import ODD, _ax_slices, divergence
 from .grid import Grid
 
 __all__ = ["DivFreeProjector"]
 
+RTOL = 3e-12  # PCG stops at residual <= RTOL * ||H||
+MAX_ITER = 2000
+
 
 class DivFreeProjector:
-    def __init__(self, grid: Grid, rtol: float = 3e-12, max_iter: int = 2000):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.rtol = float(rtol)
-        self.max_iter = int(max_iter)
         self._init_preconditioner()
 
     # -- operators ---------------------------------------------------------
 
     def _d1_transpose(self, s: np.ndarray, axis: int) -> np.ndarray:
         """Plain transpose of the odd-parity first derivative along `axis`."""
-        g = self.grid
-        n = g.shape[axis]
+        h = self.grid.spacing[axis]
+        sl = _ax_slices(axis)
         out = np.zeros_like(s)
-        if n == 1:
-            return out
-        h = g.spacing[axis]
-        sl_pre = (slice(None),) * axis
-        sl_post = (slice(None),) * (2 - axis)
-
-        def sl(x):
-            return sl_pre + (x,) + sl_post
-
         out[sl(slice(1, -1))] = (s[sl(slice(None, -2))] - s[sl(slice(2, None))]) / (
             2.0 * h
         )
@@ -62,20 +54,14 @@ class DivFreeProjector:
 
     def div_transpose(self, s: np.ndarray) -> np.ndarray:
         """D^T s as a vector field (componentwise 1d transposes)."""
-        return np.stack([self._d1_transpose(s, a) for a in range(3)])
-
-    def _mask_walls(self, F: np.ndarray) -> np.ndarray:
-        g = self.grid
-        for ax in g.active_axes:
-            sl = [slice(None)] * 4
-            for pos in (0, -1):
-                sl[1 + ax] = pos
-                F[tuple(sl)] = 0.0
-                sl[1 + ax] = slice(None)
-        return F
+        out = np.zeros((3,) + s.shape)
+        for a in self.grid.active_axes:
+            out[a] = self._d1_transpose(s, a)
+        return out
 
     def _apply_A(self, lam: np.ndarray) -> np.ndarray:
-        return divergence(self.grid, self._mask_walls(self.div_transpose(lam)), parity=ODD)
+        g = self.grid
+        return divergence(g, g.zero_walls(self.div_transpose(lam)), parity=ODD)
 
     # -- preconditioner ----------------------------------------------------
 
@@ -113,22 +99,16 @@ class DivFreeProjector:
         """
         g = self.grid
         scale = float(np.max(np.abs(H))) if H.size else 0.0
-        wall_max = 0.0
-        for ax in g.active_axes:
-            sl = [slice(None)] * 4
-            for pos in (0, -1):
-                sl[1 + ax] = pos
-                wall_max = max(wall_max, float(np.max(np.abs(H[tuple(sl)]))))
-                sl[1 + ax] = slice(None)
+        wall_max = g.wall_max(H)
         if wall_max > 1e-12 * max(scale, 1e-300):
             raise InvariantViolation(
                 f"projection input has nonzero wall values (max {wall_max:.3e} "
                 f"vs field scale {scale:.3e})"
             )
-        H = self._mask_walls(H.copy())
+        H = g.zero_walls(H.copy())
         b = divergence(g, H, parity=ODD)
         hnorm = float(np.sqrt(np.sum(H * H)))
-        target = max(self.rtol * hnorm, 1e-300)
+        target = max(RTOL * hnorm, 1e-300)
         rnorm = float(np.sqrt(np.sum(b * b)))
         if rnorm <= 0.3 * target:
             return H
@@ -138,7 +118,7 @@ class DivFreeProjector:
         z = self._precondition(r)
         p = z.copy()
         rz = float(np.sum(r * z))
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             Ap = self._apply_A(p)
             denom = float(np.sum(p * Ap))
             if denom <= 0.0:
@@ -156,11 +136,11 @@ class DivFreeProjector:
         else:
             raise NumericalAbort(
                 f"divergence cleaning stalled: residual {rnorm:.3e} "
-                f"(target {target:.3e}) after {self.max_iter} iterations"
+                f"(target {target:.3e}) after {MAX_ITER} iterations"
             )
         if rnorm > target:
             raise NumericalAbort(
                 f"divergence cleaning stalled: residual {rnorm:.3e} "
                 f"(target {target:.3e})"
             )
-        return H - self._mask_walls(self.div_transpose(lam))
+        return H - g.zero_walls(self.div_transpose(lam))

@@ -424,17 +424,23 @@ def sweep_scenarios(config_path, outdir, *, threads: int = 1, overrides=()) -> l
     if base.sweep is None:
         raise ConfigError("config has no sweep section")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     name = base.sweep.parameter.split(".")[-1]
 
     jobs = []
+    taken = {}
     for value in base.sweep.values:
         tag = f"{name}-{value:g}"
+        if tag in taken:
+            raise ConfigError(
+                f"sweep values {taken[tag]!r} and {value!r} would both write to {tag}"
+            )
+        taken[tag] = value
         job_overrides = tuple(overrides) + (
             f"{base.sweep.parameter}={_fmt_float(value)}",
         )
         jobs.append((str(config_path), job_overrides, str(outdir / tag), value))
 
+    outdir.mkdir(parents=True, exist_ok=True)
     if threads <= 1:
         results = [_sweep_worker(job) for job in jobs]
     else:

@@ -10,6 +10,11 @@ conducting / insulating wall conditions are encoded in the ghost handling
 and re-imposed exactly after each stage.  H is re-projected divergence-free
 after every full step.
 
+rhs is assembled from the fieldops operators (gradient, divergence,
+laplacian, stress_divergence, dissipation, induction_rhs); it computes the
+gradient tables of u and H once and passes them to every operator that
+reads them.
+
 Regularization knobs: epsilon adds mass diffusion (with its compensating
 velocity-gradient force in the momentum equation), delta carries the
 artificial pressure delta*rho^beta, the thermal sink delta*theta^(alpha+1),
@@ -31,15 +36,14 @@ from .constitutive import ConstitutiveLaw, heat_content, conductivity_potential,
 from .errors import ConfigError, InvariantViolation, NumericalAbort
 from .fieldops import (
     EVEN,
-    ODD,
-    _component_gradients,
-    curl,
-    d1,
     dissipation,
     divergence,
-    double_curl,
+    gradient,
+    induction_rhs,
     laplacian,
     stress_divergence,
+    table_curl,
+    vector_gradient,
 )
 from .grid import Grid
 from .projection import DivFreeProjector
@@ -135,29 +139,6 @@ class State:
         )
 
 
-def _zero_walls(grid: Grid, F: np.ndarray) -> None:
-    """Zero the wall slabs of a (3, nx, ny, nz) field in place."""
-    for a in grid.active_axes:
-        lo = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[1 + a] = 0
-        hi[1 + a] = grid.shape[a] - 1
-        F[tuple(lo)] = 0.0
-        F[tuple(hi)] = 0.0
-
-
-def _wall_max(grid: Grid, F: np.ndarray) -> float:
-    out = 0.0
-    for a in grid.active_axes:
-        lo = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[1 + a] = 0
-        hi[1 + a] = grid.shape[a] - 1
-        out = max(out, float(np.max(np.abs(F[tuple(lo)]))))
-        out = max(out, float(np.max(np.abs(F[tuple(hi)]))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # initial data mollification
 # ---------------------------------------------------------------------------
@@ -171,7 +152,6 @@ class MollificationReport:
     rho_cap: float
     rho_raised_nodes: int
     rho_lowered_nodes: int
-    momentum_zeroed_nodes: int
     momentum_zero_mask: np.ndarray
     theta_raised_nodes: int
     theta_lowered_nodes: int
@@ -227,15 +207,15 @@ def mollify_initial_data(
     lowered = rho < rho0
 
     u = u0.copy()
-    wall_speed = _wall_max(grid, u)
-    _zero_walls(grid, u)
+    wall_speed = grid.wall_max(u)
+    grid.zero_walls(u)
     u[:, lowered] = 0.0
 
     theta = np.clip(theta0, theta_lo, np.inf if theta_hi is None else theta_hi)
 
     H = H0.copy()
-    wall_field = _wall_max(grid, H)
-    _zero_walls(grid, H)
+    wall_field = grid.wall_max(H)
+    grid.zero_walls(H)
     div_before = grid.norm_l2(divergence(grid, H))
     if projector is None:
         projector = DivFreeProjector(grid)
@@ -247,7 +227,6 @@ def mollify_initial_data(
         rho_cap=cap,
         rho_raised_nodes=int(np.count_nonzero(raised)),
         rho_lowered_nodes=int(np.count_nonzero(lowered)),
-        momentum_zeroed_nodes=int(np.count_nonzero(lowered)),
         momentum_zero_mask=lowered,
         theta_raised_nodes=int(np.count_nonzero(theta > theta0)),
         theta_lowered_nodes=int(np.count_nonzero(theta < theta0)),
@@ -285,10 +264,17 @@ def rhs(
     eps = params.epsilon
     delta = params.delta
 
-    du = _component_gradients(grid, u)
-    divu = du[0][0] + du[1][1] + du[2][2]
-    grad_rho = [d1(grid, rho, j, EVEN) for j in range(3)]
-    curl_H = curl(grid, H, ODD)
+    # magnetic: curl(u x H) - nu curl(curl H).  It goes first so the H table
+    # is freed before the u table is built; the lower peak keeps malloc from
+    # growing and trimming the heap (and page-faulting it back) on every call.
+    dH = vector_gradient(grid, H)
+    curl_H = table_curl(dH)
+    induction = induction_rhs(grid, law, u, H, dH)
+    del dH
+
+    du = vector_gradient(grid, u)
+    divu = du[0, 0] + du[1, 1] + du[2, 2]
+    grad_rho = gradient(grid, rho)
 
     # mass: -div(rho u) + eps lap(rho)
     drho = -divergence(grid, rho * u) + eps * laplacian(grid, rho)
@@ -296,27 +282,21 @@ def rhs(
     # momentum: -div(rho u x u) - grad(p + delta rho^beta)
     #           - eps (grad u) grad rho + (curl H) x H + div psi
     ptot = pressure(law, rho, theta) + delta * np.power(rho, params.beta)
-    div_psi = stress_divergence(grid, law, u, theta, du=du)
-    lorentz = np.cross(curl_H, H, axis=0)
-    dm = np.empty_like(u)
-    for i in range(3):
-        conv = d1(grid, rho * u[i] * u[0], 0, EVEN)
-        conv += d1(grid, rho * u[i] * u[1], 1, EVEN)
-        conv += d1(grid, rho * u[i] * u[2], 2, EVEN)
-        eps_force = (
-            du[i][0] * grad_rho[0] + du[i][1] * grad_rho[1] + du[i][2] * grad_rho[2]
-        )
-        dm[i] = (
-            -conv - d1(grid, ptot, i, EVEN) - eps * eps_force + lorentz[i] + div_psi[i]
-        )
+    conv = divergence(grid, (rho * u)[:, None] * u[None], EVEN)
+    eps_force = du[:, 0] * grad_rho[0] + du[:, 1] * grad_rho[1] + du[:, 2] * grad_rho[2]
+    dm = (
+        -conv
+        - gradient(grid, ptot)
+        - eps * eps_force
+        + np.cross(curl_H, H, axis=0)
+        + stress_divergence(grid, law, du, theta)
+    )
 
     # thermal: -div(rho Q u) + lap K - delta theta^(alpha+1)
     #          + (1-delta)(nu |curl H|^2 + psi:grad u) - theta p_th div u
     q_heat = heat_content(law, theta)
     k_pot = conductivity_potential(law, theta)
-    heating = law.nu * np.sum(curl_H * curl_H, axis=0) + dissipation(
-        grid, law, u, theta, du=du
-    )
+    heating = law.nu * np.sum(curl_H * curl_H, axis=0) + dissipation(law, du, theta)
     dw = (
         -divergence(grid, rho * q_heat * u)
         + laplacian(grid, k_pot)
@@ -324,9 +304,6 @@ def rhs(
         + (1.0 - delta) * heating
         - theta * law.p_th(rho) * divu
     )
-
-    # magnetic: curl(u x H) - nu curl(curl H)
-    dH = curl(grid, np.cross(u, H, axis=0), EVEN) - law.nu * double_curl(grid, H)
 
     if sources is not None:
         s_rho, s_m, s_w, s_H = sources(t)
@@ -337,8 +314,8 @@ def rhs(
         if s_w is not None:
             dw = dw + s_w
         if s_H is not None:
-            dH = dH + s_H
-    return drho, dm, dw, dH
+            induction = induction + s_H
+    return drho, dm, dw, induction
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +431,8 @@ def step(
     m1 = m0 + dt * k1[1]
     w1 = w0 + dt * k1[2]
     H1 = H0 + dt * k1[3]
-    _zero_walls(grid, m1)
-    _zero_walls(grid, H1)
+    grid.zero_walls(m1)
+    grid.zero_walls(H1)
     _check_finite((rho1, m1, w1, H1), state.t)
     u1, th1 = _recover(grid, law, params, rho1, m1, w1, incidents, "stage 1", state.t)
 
@@ -464,8 +441,8 @@ def step(
     m2 = m0 + 0.5 * dt * (k1[1] + k2[1])
     w2 = w0 + 0.5 * dt * (k1[2] + k2[2])
     H2 = H0 + 0.5 * dt * (k1[3] + k2[3])
-    _zero_walls(grid, m2)
-    _zero_walls(grid, H2)
+    grid.zero_walls(m2)
+    grid.zero_walls(H2)
     _check_finite((rho2, m2, w2, H2), state.t + dt)
     u2, th2 = _recover(grid, law, params, rho2, m2, w2, incidents, "stage 2", state.t)
     H2 = projector.project(H2)

@@ -7,9 +7,12 @@ errors are pure O(h^2) truncation.  Expected interior identities
 differences commute wherever no ghost is involved.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from mhdlab import fieldops
 from mhdlab.grid import Grid
 from mhdlab.fieldops import (
     EVEN,
@@ -19,12 +22,14 @@ from mhdlab.fieldops import (
     d2,
     dissipation,
     divergence,
+    double_curl,
     gradient,
     identity_residual,
     induction_rhs,
     laplacian,
     lorentz_force,
     stress_tensor,
+    vector_gradient,
 )
 from mhdlab.constitutive import make_standard_law
 
@@ -58,8 +63,16 @@ def max_err_d2_even(n):
     return float(np.max(np.abs(d2(g, f, 0, EVEN) + 4.0 * np.cos(2.0 * x))))
 
 
+def max_err_vector_gradient_odd(n):
+    g = grid1d(n)
+    x = g.mesh()[0]
+    F = np.stack([np.sin(2.0 * x), np.sin(x), np.sin(3.0 * x)])
+    want = np.stack([2.0 * np.cos(2.0 * x), np.cos(x), 3.0 * np.cos(3.0 * x)])
+    return float(np.max(np.abs(vector_gradient(g, F)[:, 0] - want)))
+
+
 @pytest.mark.parametrize(
-    "errfn", [max_err_d1_even, max_err_d1_odd, max_err_d2_even]
+    "errfn", [max_err_d1_even, max_err_d1_odd, max_err_d2_even, max_err_vector_gradient_odd]
 )
 def test_stencils_are_second_order(errfn):
     e1, e2 = errfn(65), errfn(129)
@@ -71,6 +84,23 @@ def test_suppressed_axis_derivatives_vanish():
     f = np.cos(g.mesh()[0])
     assert np.all(d1(g, f, 1, EVEN) == 0.0)
     assert np.all(d2(g, f, 2, EVEN) == 0.0)
+    G = vector_gradient(g, np.stack([f, 2.0 * f, 3.0 * f]), EVEN)
+    assert np.all(G[:, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(33, 1, 1), (17, 9, 1), (9, 7, 5)])
+def test_vector_gradient_matches_d1(shape):
+    # the table is the same stencil, one component and one axis at a time
+    g = Grid(shape=shape, extents=(1.0, 2.0, 1.5))
+    F = np.random.default_rng(4).standard_normal((3,) + shape)
+    for parity in (EVEN, ODD):
+        G = vector_gradient(g, F, parity)
+        for i in range(3):
+            for j in range(3):
+                np.testing.assert_array_equal(G[i, j], d1(g, F[i], j, parity))
+        for j in range(3):
+            if shape[j] == 1:
+                assert np.all(G[:, j] == 0.0)
 
 
 def test_gradient_and_divergence_oracles_2d():
@@ -175,10 +205,11 @@ def test_stress_contraction_equals_dissipation():
     g = grid2d(24)
     u = rng.standard_normal((3,) + g.shape)
     theta = 1.0 + 0.5 * rng.random(g.shape)
-    psi = stress_tensor(g, law, u, theta)
+    du = vector_gradient(g, u)
+    psi = stress_tensor(law, du, theta)
     gradu = np.stack([np.stack([d1(g, u[j], i, ODD) for j in range(3)]) for i in range(3)])
     contraction = np.einsum("ij...,ij...->...", psi, gradu)
-    dis = dissipation(g, law, u, theta)
+    dis = dissipation(law, du, theta)
     np.testing.assert_allclose(contraction, dis, rtol=1e-10, atol=1e-12)
     assert np.min(dis) >= 0.0
 
@@ -197,7 +228,7 @@ def test_dissipation_nonnegative_property():
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((3,) + g.shape)
         theta = 0.1 + rng.random(g.shape)
-        assert np.min(dissipation(g, law, u, theta)) >= 0.0
+        assert np.min(dissipation(law, vector_gradient(g, u), theta)) >= 0.0
 
     inner()
 
@@ -221,10 +252,66 @@ def test_induction_rhs_pure_diffusion():
     g = grid1d(129)
     x = g.mesh()[0]
     H = np.stack([np.zeros_like(x), np.zeros_like(x), np.sin(x)])
-    rhs = induction_rhs(g, law, np.zeros_like(H), H)
+    rhs = induction_rhs(g, law, np.zeros_like(H), H, vector_gradient(g, H))
     assert np.max(np.abs(rhs[2] + np.sin(x))) < 4e-4
     assert np.max(np.abs(rhs[0])) < 1e-14
     assert np.max(np.abs(rhs[1])) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "shape", [((12, 12, 12), (1.0, 1.0, 1.0)), ((40, 31, 1), (np.pi, 2.0, 1.0))]
+)
+def test_double_curl_equals_curl_of_curl_interior(shape):
+    # away from the walls the per-term outer stencils are plain centered
+    # differences, so they agree with curl(curl H) up to summation order
+    shape, extents = shape
+    g = Grid(shape=shape, extents=extents)
+    H = np.random.default_rng(12).standard_normal((3,) + g.shape)
+    dc = double_curl(g, vector_gradient(g, H))
+    cc = curl(g, curl(g, H))
+    scale = np.max(np.abs(H)) / min(g.spacing_active) ** 2
+    assert np.max(np.abs(_interior(g, dc - cc))) < 1e-13 * scale
+    assert np.max(np.abs(_interior(g, dc))) > 1e-3 * scale
+
+
+def _guard_stencils(monkeypatch, calls):
+    """Record every d1/d2 call, under every name mhdlab binds them to."""
+    for name in ("d1", "d2"):
+        fn = getattr(fieldops, name)
+
+        def guarded(grid, f, axis, parity, _fn=fn, _name=name):
+            calls.append((_name, axis, grid.shape[axis]))
+            return _fn(grid, f, axis, parity)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("mhdlab") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, guarded)
+
+
+@pytest.mark.parametrize("shape", [(9, 1, 1), (9, 7, 1)])
+def test_no_stencil_along_suppressed_axes(shape, monkeypatch):
+    from mhdlab.diagnostics import record, thermal_weak_residual
+    from mhdlab.projection import DivFreeProjector
+    from mhdlab.solver import SchemeParams, State, rhs
+
+    g = Grid(shape=shape, extents=(1.0, 1.5, 1.0))
+    law = make_standard_law(lam0=0.3)
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    rng = np.random.default_rng(21)
+    rho = 1.0 + 0.1 * rng.random(g.shape)
+    theta = 1.0 + 0.1 * rng.random(g.shape)
+    u = g.zero_walls(rng.standard_normal((3,) + g.shape))
+    H = g.zero_walls(rng.standard_normal((3,) + g.shape))
+    states = [State(g, rho, u, theta, H, 0.0), State(g, rho, u, theta, H, 0.1)]
+
+    calls = []
+    _guard_stencils(monkeypatch, calls)
+    rhs(g, law, params, rho, u, theta, H)
+    record(g, law, params, states[0])
+    thermal_weak_residual(g, law, params, states)
+    DivFreeProjector(g).project(H)
+    assert calls, "the guard saw no stencil call"
+    assert [c for c in calls if c[2] == 1] == []
 
 
 def _bump(s):

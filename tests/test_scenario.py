@@ -237,6 +237,15 @@ def test_sweep_parallel_matches_serial(tmp_path):
     ).read_bytes()
 
 
+def test_sweep_rejects_colliding_directory_names(tmp_path):
+    # 0.1 and 0.1000001 both format as delta-0.1 under :g
+    cfg = _write(tmp_path, SWEEPY.replace("values = 0.1 0.01", "values = 0.1 0.01 0.1000001"))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="delta-0.1"):
+        sweep_scenarios(cfg, out)
+    assert not out.exists()
+
+
 def test_sweep_requires_sweep_section(tmp_path):
     cfg = _write(tmp_path, TINY)
     with pytest.raises(ConfigError, match="no sweep section"):

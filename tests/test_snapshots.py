@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mhdlab.errors import ConfigError
-from mhdlab.fieldops import read_snapshot, write_snapshot
+from mhdlab.snapshots import read_snapshot, write_snapshot
 from mhdlab.grid import Grid
 
 

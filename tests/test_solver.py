@@ -113,7 +113,6 @@ def test_mollify_clamp_branches():
     assert np.all(state.u[:, 2, 1, 0] == 0.3)
     assert rep.rho_lowered_nodes == 1
     assert rep.rho_raised_nodes == 1
-    assert rep.momentum_zeroed_nodes == 1
     assert bool(rep.momentum_zero_mask[1, 1, 0]) is True
     assert bool(rep.momentum_zero_mask[2, 1, 0]) is False
     # theta floor applied
