@@ -45,6 +45,7 @@ from .diagnostics import (
 from .errors import ConfigError
 from .fieldops import divergence
 from .grid import Grid
+from .projection import DivFreeProjector
 from .snapshots import write_snapshot
 from .solver import SchemeParams, ensure_compatible, mollify_initial_data, run
 
@@ -353,7 +354,10 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
 
     grid, law, params = scenario.grid, scenario.law, scenario.params
     rho0, u0, theta0, H0 = initial_fields(scenario)
-    state0, moll = mollify_initial_data(grid, law, params, rho0, u0, theta0, H0)
+    projector = DivFreeProjector(grid)
+    state0, moll = mollify_initial_data(
+        grid, law, params, rho0, u0, theta0, H0, projector=projector
+    )
 
     records = []
 
@@ -370,6 +374,7 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
             observer=observer,
             snapshot_times=scenario.snapshot_times,
             max_steps=scenario.max_steps,
+            projector=projector,
         )
     finally:
         if records:
