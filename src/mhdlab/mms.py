@@ -23,7 +23,7 @@ import sympy as sp
 from .constitutive import ConstitutiveLaw
 from .errors import ConfigError
 from .grid import Grid
-from .projection import DivFreeProjector
+from .projection import projector_for
 from .solver import SchemeParams, State, run
 
 __all__ = [
@@ -314,7 +314,7 @@ def temporal_convergence_study(
     grid = Grid(shape=(cells + 1, 1, 1), extents=(np.pi, 1.0, 1.0))
     st0 = case.exact_state(grid, 0.0)
     src = case.source_callable(grid)
-    projector = DivFreeProjector(grid)
+    projector = projector_for(grid)
 
     def solve(dt):
         p = replace(params, dt=dt, t_end=t_end)

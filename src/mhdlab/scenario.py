@@ -45,7 +45,7 @@ from .diagnostics import (
 from .errors import ConfigError
 from .fieldops import divergence
 from .grid import Grid
-from .projection import DivFreeProjector
+from .projection import projector_for
 from .snapshots import write_snapshot
 from .solver import SchemeParams, ensure_compatible, mollify_initial_data, run
 
@@ -354,7 +354,7 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
 
     grid, law, params = scenario.grid, scenario.law, scenario.params
     rho0, u0, theta0, H0 = initial_fields(scenario)
-    projector = DivFreeProjector(grid)
+    projector = projector_for(grid)
     state0, moll = mollify_initial_data(
         grid, law, params, rho0, u0, theta0, H0, projector=projector
     )

@@ -46,7 +46,7 @@ from .fieldops import (
     vector_gradient,
 )
 from .grid import Grid
-from .projection import DivFreeProjector
+from .projection import DivFreeProjector, projector_for
 
 __all__ = [
     "SchemeParams",
@@ -218,7 +218,7 @@ def mollify_initial_data(
     grid.zero_walls(H)
     div_before = grid.norm_l2(divergence(grid, H))
     if projector is None:
-        projector = DivFreeProjector(grid)
+        projector = projector_for(grid)
     H = projector.project(H)
     div_after = grid.norm_l2(divergence(grid, H))
 
@@ -496,7 +496,7 @@ def run(
     if not T > state0.t:
         raise ValueError(f"t_end={T} must exceed the initial time {state0.t}")
     if projector is None:
-        projector = DivFreeProjector(grid)
+        projector = projector_for(grid)
 
     incidents = IncidentLog()
     state = state0.copy()

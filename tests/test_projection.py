@@ -142,7 +142,10 @@ def _dense_interior_divergence(g):
     return np.array(cols).T, index
 
 
-@pytest.mark.parametrize("shape", [(7, 6, 1), (9, 9, 1), (3, 5, 1), (11, 1, 1)])
+@pytest.mark.parametrize(
+    "shape",
+    [(7, 6, 1), (9, 9, 1), (3, 5, 1), (11, 1, 1), (3, 5, 4), (5, 6, 7), (4, 3, 6)],
+)
 def test_projection_matches_dense_minimum_norm_oracle(shape):
     g = Grid(shape=shape, extents=(1.0, 1.3, 1.0))
     D, index = _dense_interior_divergence(g)
@@ -162,10 +165,11 @@ def _small_shapes():
     yield from ((n, 1, 1) for n in range(3, 41))
     yield from ((1, n, 1) for n in range(3, 41))
     yield (5, 1, 4)
+    yield from ((nx, ny, nz) for nx in range(3, 8) for ny in range(3, 8) for nz in range(3, 8))
 
 
 def test_projection_small_shape_sweep():
-    # every small 1d/2d shape factors and cleans; (3, 5, 1) splits a parity
+    # every small 1d/2d/3d shape factors and cleans; (3, 5, 1) splits a parity
     # class into two components, which one pin per parity class cannot handle
     bad = []
     for shape in _small_shapes():
@@ -181,11 +185,61 @@ def test_projection_small_shape_sweep():
 def test_projector_construction_is_pure():
     # no RNG or module state leaks into the factorization: a projector built
     # after others on different grids gives the same bits
-    g = Grid(shape=(20, 14, 1), extents=(1.0, 2.0, 1.0))
-    H = _rand_field(g, seed=19)
-    first = DivFreeProjector(g).project(H.copy())
-    for shape in ((9, 1, 1), (33, 17, 1)):
-        other = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
-        DivFreeProjector(other).project(_rand_field(other, seed=2))
-    again = DivFreeProjector(g).project(H.copy())
-    np.testing.assert_array_equal(first, again)
+    for shape, extents in (((20, 14, 1), (1.0, 2.0, 1.0)), ((9, 8, 7), (1.0, 2.0, 1.5))):
+        g = Grid(shape=shape, extents=extents)
+        H = _rand_field(g, seed=19)
+        first = DivFreeProjector(g).project(H.copy())
+        for other_shape in ((9, 1, 1), (33, 17, 1), (6, 7, 5)):
+            other = Grid(shape=other_shape, extents=(1.0, 1.0, 1.0))
+            DivFreeProjector(other).project(_rand_field(other, seed=2))
+        again = DivFreeProjector(g).project(H.copy())
+        np.testing.assert_array_equal(first, again)
+
+
+@pytest.mark.parametrize("n,pins", [(7, 76), (9, 100), (11, 124), (17, 196)])
+def test_pins_remove_exactly_the_nullspace(n, pins):
+    # one pin per connected component of A's graph: 12(n-2)+8 edge and corner
+    # nodes with all-zero rows plus one per index-parity class (8 in 3D)
+    g = Grid(shape=(n, n, n), extents=(1.0, 1.0, 1.0))
+    free = DivFreeProjector(g)._free
+    n_pins = int(np.count_nonzero(~free))
+    assert n_pins == pins == 12 * (n - 2) + 8 + 8
+    if n == 7:
+        D, _ = _dense_interior_divergence(g)
+        assert n_pins == free.size - np.linalg.matrix_rank(D @ D.T, hermitian=True)
+
+
+def test_projection_without_active_axes_is_identity():
+    g = Grid(shape=(1, 1, 1), extents=(1.0, 1.0, 1.0))
+    H = np.array([0.3, -1.2, 2.5]).reshape((3, 1, 1, 1))
+    np.testing.assert_array_equal(DivFreeProjector(g).project(H), H)
+
+
+def test_run_and_mollification_share_one_projector(monkeypatch):
+    from mhdlab import projection
+    from mhdlab.constitutive import make_standard_law
+    from mhdlab.solver import SchemeParams, mollify_initial_data, run
+
+    built = []
+
+    class Counted(DivFreeProjector):
+        def __init__(self, grid):
+            built.append(grid)
+            super().__init__(grid)
+
+    monkeypatch.setattr(projection, "DivFreeProjector", Counted)
+    projection.projector_for.cache_clear()
+    try:
+        g = Grid(shape=(9, 8, 1), extents=(1.0, 1.0, 1.0))
+        law = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
+        params = SchemeParams(epsilon=0.05, delta=0.1, t_end=1e-3)
+        x, y = g.mesh()[:2]
+        H0 = _zero_walls(g, np.stack([np.sin(3 * y), np.cos(2 * x), 0.0 * x]))
+        st0, _ = mollify_initial_data(
+            g, law, params, 1.0 + 0.0 * x, np.zeros((3,) + g.shape), 1.0 + 0.0 * x, H0
+        )
+        run(g, law, params, st0)
+        assert built == [g]
+        assert projection.projector_for(Grid(g.shape, g.extents)) is projection.projector_for(g)
+    finally:
+        projection.projector_for.cache_clear()
