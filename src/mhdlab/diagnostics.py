@@ -432,6 +432,22 @@ def _quintic_bump_d2(s: np.ndarray) -> np.ndarray:
     return np.where(a < 1.0, out, 0.0)
 
 
+def _quintic_bump_at(s: float) -> tuple[float, float]:
+    """_quintic_bump and _quintic_bump_d1 at one point, in plain floats.
+
+    The time profile is evaluated four times per (state, phi) pair; numpy's
+    0-d path costs about ten times as much per call.  The arithmetic is the
+    same, so are the bits.
+    """
+    a = abs(s)
+    if a >= 1.0:
+        return 0.0, 0.0
+    value = 1.0 - 10.0 * a**3 + 15.0 * a**4 - 6.0 * a**5
+    slope = -30.0 * a**2 + 60.0 * a**3 - 30.0 * a**4
+    sign = (s > 0.0) - (s < 0.0)  # np.sign(s)
+    return value, sign * slope
+
+
 class SpaceTimeTestFunction:
     """Separable phi(x,t) = r(t) * S(x) with analytic derivatives.
 
@@ -486,14 +502,14 @@ class SpaceTimeTestFunction:
     def _r(self, t: float) -> float:
         s = t / self.T
         if self.profile == "rampdown":
-            return float(_quintic_bump(np.asarray(s)))
-        return float(_quintic_bump(np.asarray((s - 0.4) / 0.35)))
+            return _quintic_bump_at(s)[0]
+        return _quintic_bump_at((s - 0.4) / 0.35)[0]
 
     def _rprime(self, t: float) -> float:
         s = t / self.T
         if self.profile == "rampdown":
-            return float(_quintic_bump_d1(np.asarray(s))) / self.T
-        return float(_quintic_bump_d1(np.asarray((s - 0.4) / 0.35))) / (0.35 * self.T)
+            return _quintic_bump_at(s)[1] / self.T
+        return _quintic_bump_at((s - 0.4) / 0.35)[1] / (0.35 * self.T)
 
     def value(self, t):
         return self._r(t) * self.S
@@ -576,6 +592,13 @@ def thermal_weak_residual(
     is residual >= -tol(dt, h).  States must be the recorded trajectory
     (with the initial state first); time integrals use the trapezoid rule
     over the record times.
+
+    Both sides are linear in phi, so the field work is done once per state:
+    six integrands, folded with the quadrature weights, pair with phi_t,
+    grad phi, lap phi and phi (four on the left, two on the right).  Each
+    phi is then evaluated once per record time and enters through six dot
+    products.  K_h comes from one table built for the whole trajectory.
+    Test-function names must be unique; they key the report.
     """
     if len(states) < 2:
         raise ValueError("need at least two recorded states")
@@ -586,20 +609,28 @@ def thermal_weak_residual(
         raise ValueError("state times must be strictly increasing")
     if bank is None:
         bank = make_test_bank(grid, times[-1])
+    names = [phi.name for phi in bank]
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise ValueError(f"test function name {dup!r} occurs more than once")
     for phi in bank:
         _validate_test_function(phi, times)
 
     delta, eps = params.delta, params.epsilon
     w = grid.quad_weights
+    k_h_all = renormalized_conductivity_potential(
+        law, ren, np.stack([st.theta for st in states])
+    )
 
-    # per-record field work, shared across the whole bank
-    lhs_t = {phi.name: [] for phi in bank}
-    rhs_t = {phi.name: [] for phi in bank}
-    for st in states:
+    # lhs_t[j, k], rhs_t[j, k]: the two sides for bank[j] at states[k]
+    lhs_t = np.empty((len(bank), len(states)))
+    rhs_t = np.empty((len(bank), len(states)))
+    for k, (st, k_h) in enumerate(zip(states, k_h_all)):
         rho, u, theta, H = st.rho, st.u, st.theta, st.H
         h_w = ren(theta)
+        dh_w = ren.deriv(theta)
         q_h = renormalized_heat_content(law, ren, theta)
-        k_h = renormalized_conductivity_potential(law, ren, theta)
+        q = heat_content(law, theta)
         du = vector_gradient(grid, u)
         divu = du[0, 0] + du[1, 1] + du[2, 2]
         curl_H = table_curl(vector_gradient(grid, H))
@@ -609,44 +640,43 @@ def thermal_weak_residual(
         grad_rho = gradient(grid, rho)
         # g = Q_h - Q h; its theta-derivative collapses to -Q h' because the
         # c_v h pieces cancel
-        g = q_h - heat_content(law, theta) * h_w
-        dg_dtheta = -heat_content(law, theta) * ren.deriv(theta)
-        source_w = (delta - 1.0) * h_w * heating + ren.deriv(theta) * law.kappa(
+        g = q_h - q * h_w
+        dg_dtheta = -q * dh_w
+        source_w = (delta - 1.0) * h_w * heating + dh_w * law.kappa(
             theta
         ) * grad_theta_sq + h_w * theta * law.p_th(rho) * divu
-        w_h = (rho + delta) * q_h
-        flux = rho * q_h * u
+        grad_rho_theta = sum(grad_rho[a] * grad_theta[a] for a in range(3))
 
-        for phi in bank:
-            t = st.t
+        # left: (rho+delta) Q_h phi_t + rho Q_h u.grad phi + K_h lap phi
+        #       - delta h theta^(alpha+1) phi
+        w_phi_t = w * ((rho + delta) * q_h)
+        w_flux = w * (rho * q_h * u)
+        w_lap = w * k_h
+        w_sink = w * (-delta * h_w * np.power(theta, law.alpha + 1.0))
+        # right: source phi + eps grad rho.grad(g phi)
+        w_source = w * (source_w + eps * dg_dtheta * grad_rho_theta)
+        w_eps = w * (eps * g * grad_rho)
+
+        t = st.t
+        for j, phi in enumerate(bank):
             phi_v = phi.value(t)
             phi_grad = phi.grad(t)
-            lhs_int = (
-                w_h * phi.dt(t)
-                + flux[0] * phi_grad[0]
-                + flux[1] * phi_grad[1]
-                + flux[2] * phi_grad[2]
-                + k_h * phi.lap(t)
-                - delta * h_w * np.power(theta, law.alpha + 1.0) * phi_v
+            lhs_t[j, k] = (
+                np.vdot(w_phi_t, phi.dt(t))
+                + np.vdot(w_flux, phi_grad)
+                + np.vdot(w_lap, phi.lap(t))
+                + np.vdot(w_sink, phi_v)
             )
-            # eps * grad rho . grad(g phi)
-            eps_int = 0.0
-            for a in range(3):
-                eps_int = eps_int + grad_rho[a] * (
-                    dg_dtheta * grad_theta[a] * phi_v + g * phi_grad[a]
-                )
-            rhs_int = source_w * phi_v + eps * eps_int
-            lhs_t[phi.name].append(float(np.sum(w * lhs_int)))
-            rhs_t[phi.name].append(float(np.sum(w * rhs_int)))
+            rhs_t[j, k] = np.vdot(w_source, phi_v) + np.vdot(w_eps, phi_grad)
 
     # initial-data term of the right side
     st0 = states[0]
     w_h0 = (st0.rho + delta) * renormalized_heat_content(law, ren, st0.theta)
 
     residuals = []
-    for phi in bank:
-        lhs = _trapz(lhs_t[phi.name], times)
-        rhs = _trapz(rhs_t[phi.name], times)
+    for phi, lhs_phi, rhs_phi in zip(bank, lhs_t, rhs_t):
+        lhs = _trapz(lhs_phi, times)
+        rhs = _trapz(rhs_phi, times)
         rhs -= float(np.sum(w * w_h0 * phi.value(times[0])))
         residuals.append((phi.name, float(rhs - lhs)))
     worst = min(residuals, key=lambda kv: kv[1])

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 from .constitutive import ConstitutiveLaw
 from .errors import ConfigError
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 BLOCKS = ("rho", "u", "theta", "H")
+# order of the values returned by ManufacturedCase.sources
+SOURCE_KEYS = ("rho", "m1", "m2", "m3", "w", "H1", "H2", "H3")
 
 _SAMPLE_RHO = (0.5, 1.0, 1.7)
 _SAMPLE_THETA = (0.3, 1.0, 2.2)
@@ -85,13 +87,17 @@ def _family_scalars(law: ConstitutiveLaw) -> dict:
 
 @dataclass
 class ManufacturedCase:
-    """Lambdified exact fields, conserved-variable rates and sources."""
+    """Lambdified exact fields, conserved-variable rates and sources.
+
+    fields and rates map a name to a function of (x, t); sources is one
+    function of (x, t) that returns the eight sources in SOURCE_KEYS order.
+    """
 
     law: ConstitutiveLaw
     params: SchemeParams
     fields: dict
     rates: dict
-    sources: dict
+    sources: Callable
 
     def _eval(self, fn, xs, t):
         out = np.asarray(fn(xs, float(t)), dtype=float)
@@ -118,23 +124,39 @@ class ManufacturedCase:
         return drho, dm, dw, dH
 
     def source_callable(self, grid: Grid):
+        """sources(t) -> (s_rho, s_m, s_w, s_H), read-only arrays on the grid.
+
+        The arrays of the last t are kept: Heun's second stage of one step
+        and the first stage of the next are evaluated at the same float.
+        """
         xs = grid.mesh()[0]
+        last_t, last = None, None
 
         def sources(t: float):
-            s_rho = self._eval(self.sources["rho"], xs, t)
-            s_m = np.stack(
-                [self._eval(self.sources[f"m{i}"], xs, t) for i in (1, 2, 3)]
-            )
-            s_w = self._eval(self.sources["w"], xs, t)
-            s_H = np.stack(
-                [self._eval(self.sources[f"H{i}"], xs, t) for i in (1, 2, 3)]
-            )
-            return s_rho, s_m, s_w, s_H
+            nonlocal last_t, last
+            t = float(t)
+            if t != last_t:
+                s_rho, m1, m2, m3, s_w, H1, H2, H3 = (
+                    np.broadcast_to(np.asarray(v, dtype=float), xs.shape)
+                    for v in self.sources(xs, t)
+                )
+                last = (
+                    s_rho.copy(),
+                    np.stack([m1, m2, m3]),
+                    s_w.copy(),
+                    np.stack([H1, H2, H3]),
+                )
+                for a in last:
+                    a.flags.writeable = False
+                last_t = t
+            return last
 
         return sources
 
 
 def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> ManufacturedCase:
+    import sympy as sp
+
     c = _family_scalars(law)
     x, t = sp.symbols("x t", real=True)
 
@@ -234,7 +256,9 @@ def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> Manufa
         params=params,
         fields=lam(exprs_fields),
         rates=lam(exprs_rates),
-        sources=lam(exprs_sources),
+        sources=sp.lambdify(
+            (x, t), [exprs_sources[k] for k in SOURCE_KEYS], modules="numpy", cse=True
+        ),
     )
 
 

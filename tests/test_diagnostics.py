@@ -18,9 +18,18 @@ import types
 import numpy as np
 import pytest
 
-from mhdlab.constitutive import Renormalizer, make_standard_law
+from mhdlab.constitutive import (
+    Renormalizer,
+    heat_content,
+    make_standard_law,
+    renormalized_conductivity_potential,
+    renormalized_heat_content,
+)
 from mhdlab.diagnostics import (
     SpaceTimeTestFunction,
+    _quintic_bump,
+    _quintic_bump_at,
+    _quintic_bump_d1,
     apriori_norms,
     artificial_pressure_monitor,
     energy_budget_check,
@@ -32,6 +41,7 @@ from mhdlab.diagnostics import (
     total_energy,
     write_records_csv,
 )
+from mhdlab.fieldops import dissipation, gradient, table_curl, vector_gradient
 from mhdlab.grid import Grid
 from mhdlab.solver import SchemeParams, State, mollify_initial_data, run
 
@@ -336,9 +346,8 @@ def test_weak_residual_rest_state_uniform_phi(rest_run):
     assert abs(rep.min_residual) <= 1e-5
 
 
-def test_weak_residual_linear_in_phi(rest_run):
-    grid, _, res = rest_run
-    T = res.record_times[-1]
+def _combo_bank(grid, T):
+    """Two bumps, a linear combination of them and a spatially uniform phi."""
     p1 = SpaceTimeTestFunction("a", grid, T, center=(0.5, 0.5, 0.5), width=0.4)
     p2 = SpaceTimeTestFunction("b", grid, T, center=(0.3, 0.6, 0.5), width=0.3)
 
@@ -357,10 +366,16 @@ def test_weak_residual_linear_in_phi(rest_run):
         def lap(self, t):
             return p1.lap(t) + 2.0 * p2.lap(t)
 
+    return [p1, p2, Combo(), SpaceTimeTestFunction("uniform", grid, T)]
+
+
+def test_weak_residual_linear_in_phi(rest_run):
+    grid, _, res = rest_run
+    p1, p2, combo, _ = _combo_bank(grid, res.record_times[-1])
     states = res.recorded_states
     r1 = thermal_weak_residual(grid, LAW, PARAMS, states, bank=[p1]).min_residual
     r2 = thermal_weak_residual(grid, LAW, PARAMS, states, bank=[p2]).min_residual
-    rc = thermal_weak_residual(grid, LAW, PARAMS, states, bank=[Combo()]).min_residual
+    rc = thermal_weak_residual(grid, LAW, PARAMS, states, bank=[combo]).min_residual
     assert rc == pytest.approx(r1 + 2.0 * r2, rel=1e-10, abs=1e-14)
 
 
@@ -422,6 +437,165 @@ def test_weak_residual_rejects_ill_formed(rest_run):
         thermal_weak_residual(grid, LAW, PARAMS, states, bank=[Negative()])
     with pytest.raises(ValueError, match="final time"):
         thermal_weak_residual(grid, LAW, PARAMS, states, bank=[NonzeroEnd()])
+
+
+def test_weak_residual_rejects_duplicate_names(rest_run):
+    grid, _, res = rest_run
+    T = res.record_times[-1]
+    p1 = SpaceTimeTestFunction("same", grid, T, center=(0.5, 0.5, 0.5), width=0.4)
+    p2 = SpaceTimeTestFunction("same", grid, T, center=(0.3, 0.6, 0.5), width=0.3)
+    with pytest.raises(ValueError, match="'same' occurs more than once"):
+        thermal_weak_residual(grid, LAW, PARAMS, res.recorded_states, bank=[p1, p2])
+
+
+def _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=False):
+    """The per-(state, phi) loop that thermal_weak_residual replaced.
+
+    Every pair rebuilds the full-grid integrands and sums them.  K_h is read
+    from one table over the whole trajectory, as in the rewrite, unless
+    per_state_k_h asks for the former table per state; the two tables
+    differ by their linear-interpolation error, about 1e-10 of K_h.
+    """
+    ren = Renormalizer(params.omega)
+    times = [s.t for s in states]
+    delta, eps = params.delta, params.epsilon
+    w = grid.quad_weights
+    k_h_all = renormalized_conductivity_potential(
+        law, ren, np.stack([st.theta for st in states])
+    )
+    lhs_t = [[] for _ in bank]
+    rhs_t = [[] for _ in bank]
+    for k, st in enumerate(states):
+        rho, u, theta, H = st.rho, st.u, st.theta, st.H
+        h_w = ren(theta)
+        q_h = renormalized_heat_content(law, ren, theta)
+        if per_state_k_h:
+            k_h = renormalized_conductivity_potential(law, ren, theta)
+        else:
+            k_h = k_h_all[k]
+        du = vector_gradient(grid, u)
+        divu = du[0, 0] + du[1, 1] + du[2, 2]
+        curl_H = table_curl(vector_gradient(grid, H))
+        heating = dissipation(law, du, theta) + law.nu * np.sum(curl_H * curl_H, axis=0)
+        grad_theta = gradient(grid, theta)
+        grad_theta_sq = grad_theta[0] ** 2 + grad_theta[1] ** 2 + grad_theta[2] ** 2
+        grad_rho = gradient(grid, rho)
+        g = q_h - heat_content(law, theta) * h_w
+        dg_dtheta = -heat_content(law, theta) * ren.deriv(theta)
+        source_w = (delta - 1.0) * h_w * heating + ren.deriv(theta) * law.kappa(
+            theta
+        ) * grad_theta_sq + h_w * theta * law.p_th(rho) * divu
+        w_h = (rho + delta) * q_h
+        flux = rho * q_h * u
+        for j, phi in enumerate(bank):
+            t = st.t
+            phi_v = phi.value(t)
+            phi_grad = phi.grad(t)
+            lhs_int = (
+                w_h * phi.dt(t)
+                + flux[0] * phi_grad[0]
+                + flux[1] * phi_grad[1]
+                + flux[2] * phi_grad[2]
+                + k_h * phi.lap(t)
+                - delta * h_w * np.power(theta, law.alpha + 1.0) * phi_v
+            )
+            eps_int = 0.0
+            for a in range(3):
+                eps_int = eps_int + grad_rho[a] * (
+                    dg_dtheta * grad_theta[a] * phi_v + g * phi_grad[a]
+                )
+            rhs_int = source_w * phi_v + eps * eps_int
+            lhs_t[j].append(float(np.sum(w * lhs_int)))
+            rhs_t[j].append(float(np.sum(w * rhs_int)))
+    st0 = states[0]
+    w_h0 = (st0.rho + delta) * renormalized_heat_content(law, ren, st0.theta)
+    out = {}
+    for j, phi in enumerate(bank):
+        lhs = sum(
+            0.5 * (b - a) * (y0 + y1)
+            for a, b, y0, y1 in zip(times, times[1:], lhs_t[j], lhs_t[j][1:])
+        )
+        rhs = sum(
+            0.5 * (b - a) * (y0 + y1)
+            for a, b, y0, y1 in zip(times, times[1:], rhs_t[j], rhs_t[j][1:])
+        )
+        rhs -= float(np.sum(w * w_h0 * phi.value(times[0])))
+        out[phi.name] = rhs - lhs
+    return out
+
+
+@pytest.fixture(scope="module")
+def box_run():
+    """Small genuinely-moving 3D run: every stencil axis active."""
+    grid = Grid(shape=(9, 8, 7), extents=(1.0, 1.0, 1.0))
+    law = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
+    params = SchemeParams(epsilon=0.05, delta=0.1, t_end=0.01)
+    x, y, z = grid.mesh()
+    cx, cy, cz = np.cos(np.pi * x), np.cos(np.pi * y), np.cos(np.pi * z)
+    sx, sy, sz = np.sin(np.pi * x), np.sin(np.pi * y), np.sin(np.pi * z)
+    rho0 = 1.0 + 0.25 * cx * cy * cz
+    theta0 = 1.0 + 0.2 * cx * cy * cz
+    u0 = np.stack([0.3 * sx * sy * sz, -0.3 * sx * sy * sz, 0.2 * sx * sy * sz])
+    H0 = np.stack([0.2 * sx * sy * sz, -0.2 * sx * sy * sz, 0.1 * sx * sy * sz])
+    state0, _ = mollify_initial_data(grid, law, params, rho0, u0, theta0, H0)
+    res = run(grid, law, params, state0, record_every=1, keep_states=True)
+    return grid, law, params, res
+
+
+@pytest.mark.parametrize("which", ["moving-2d", "box-3d", "combo-2d", "combo-rest"])
+def test_weak_residual_matches_reference_loop(which, request):
+    if which == "combo-rest":
+        grid, _, res = request.getfixturevalue("rest_run")
+        law, params = LAW, PARAMS
+    else:
+        fixture = "box_run" if which == "box-3d" else "moving_run"
+        grid, law, params, res = request.getfixturevalue(fixture)
+    states = res.recorded_states
+    bank = None
+    if which.startswith("combo"):
+        bank = _combo_bank(grid, res.record_times[-1])
+    rep = thermal_weak_residual(grid, law, params, states, bank=bank)
+    if bank is None:
+        bank = make_test_bank(grid, res.record_times[-1])
+    want = _reference_weak_residual(grid, law, params, states, bank)
+    assert [name for name, _ in rep.residuals] == [phi.name for phi in bank]
+    for name, got in rep.residuals:
+        assert got == pytest.approx(want[name], rel=1e-12, abs=1e-15), name
+    assert rep.min_residual == min(v for _, v in rep.residuals)
+    # same states, same bank: bitwise-equal report
+    assert thermal_weak_residual(grid, law, params, states, bank=bank) == rep
+
+
+def test_weak_residual_conductivity_table_spans_trajectory(moving_run):
+    grid, law, params, res = moving_run
+    states = res.recorded_states
+    ren = Renormalizer(params.omega)
+    thetas = np.stack([st.theta for st in states])
+    per_state = np.stack(
+        [renormalized_conductivity_potential(law, ren, th) for th in thetas]
+    )
+    shared = renormalized_conductivity_potential(law, ren, thetas)
+    # linear interpolation in a 32769-point table: h^2/8 * max|K_h''| / K_h
+    assert np.max(np.abs(shared - per_state) / per_state) <= 1e-9
+    rep = thermal_weak_residual(grid, law, params, states)
+    bank = make_test_bank(grid, res.record_times[-1])
+    want = _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=True)
+    scale = max(abs(v) for v in want.values())
+    # measured 1.0e-11 of the largest residual
+    assert max(abs(v - want[name]) for name, v in rep.residuals) <= 1e-10 * scale
+
+
+def test_scalar_bump_matches_array_bump():
+    # one point at a time, as the time profile is evaluated: numpy's 0-d
+    # path uses the scalar pow, while long arrays may take a SIMD pow whose
+    # last bit differs
+    s = [float(x) for x in np.linspace(-1.5, 1.5, 3001)] + [0.0, -0.0, 1.0, -1.0]
+    want = [
+        (float(_quintic_bump(np.asarray(x))), float(_quintic_bump_d1(np.asarray(x))))
+        for x in s
+    ]
+    got = [_quintic_bump_at(x) for x in s]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_test_bank_is_admissible(rest_run):

@@ -8,6 +8,10 @@ halved.  It validates the symbolic algebra and the solver tendencies against
 each other.
 """
 
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +23,7 @@ from mhdlab.mms import (
     spatial_convergence_study,
     temporal_convergence_study,
 )
-from mhdlab.solver import SchemeParams, rhs
+from mhdlab.solver import SchemeParams, rhs, run
 
 LAW = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
 PARAMS = SchemeParams(epsilon=0.05, delta=0.1)
@@ -97,3 +101,37 @@ def test_study_is_deterministic():
     b = spatial_convergence_study(LAW, PARAMS, cells=(32, 64), t_end=0.01)
     assert a.errors == b.errors
     assert a.orders == b.orders
+
+
+def test_sources_evaluated_once_per_stage_time():
+    case = make_manufactured_case(LAW, PARAMS)
+    evaluations = []
+    lambdified = case.sources
+
+    def counted(x, t):
+        evaluations.append(t)
+        return lambdified(x, t)
+
+    case.sources = counted
+    grid = _grid(16)
+    src = case.source_callable(grid)
+    calls = []
+
+    def traced(t):
+        calls.append(t)
+        return src(t)
+
+    p = replace(PARAMS, dt=1e-3, t_end=5e-3)
+    res = run(grid, LAW, p, case.exact_state(grid, 0.0), record_every=10**9, sources=traced)
+    # Heun: two stage times per step, the second one equal to the next first
+    assert len(calls) == 2 * res.steps
+    assert evaluations == sorted(set(calls))
+    assert len(evaluations) == res.steps + 1
+    first, again = src(0.25), src(0.25)
+    assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
+    assert [a.shape for a in first] == [(17, 1, 1), (3, 17, 1, 1), (17, 1, 1), (3, 17, 1, 1)]
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    code = "import sys, mhdlab.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
