@@ -452,8 +452,19 @@ class Renormalizer:
         return self.omega * (self.omega + 1.0) * np.power(1.0 + t, -self.omega - 2.0)
 
 
+# queries read per pass of _cumulative_weighted; each temporary stays at 64 kB
+_TABLE_CHUNK = 8192
+
+
 def _cumulative_weighted(fn, queries, n=32769):
-    """int_0^q fn(s) ds for each query via dense cumulative Simpson + interp."""
+    """int_0^q fn(s) ds for each query, read from a dense cumulative Simpson
+    table with the cubic Hermite interpolant whose node slopes are fn.
+
+    The interpolant is fourth order, so the value at one query does not
+    depend, beyond rounding, on the other queries that set the table range.
+    Queries are read in chunks, which bounds the temporaries when a whole
+    trajectory is passed at once.
+    """
     q = np.asarray(queries, dtype=float)
     top = float(np.max(q)) if q.size else 1.0
     if top <= 0.0:
@@ -461,7 +472,17 @@ def _cumulative_weighted(fn, queries, n=32769):
     grid = np.linspace(0.0, top, n)
     vals = fn(grid)
     table = cumulative_simpson(vals, x=grid, initial=0.0)
-    out = np.interp(q, grid, table)
+    out = np.empty(q.shape)
+    flat_q, flat_out = q.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_q.size, _TABLE_CHUNK):
+        x = flat_q[start : start + _TABLE_CHUNK]
+        k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, n - 2)
+        h = grid[k + 1] - grid[k]
+        s = np.clip((x - grid[k]) / h, 0.0, 1.0)
+        r = 1.0 - s
+        y = (1.0 + 2.0 * s) * r * r * table[k] + s * s * (3.0 - 2.0 * s) * table[k + 1]
+        y += h * s * r * (r * vals[k] - s * vals[k + 1])
+        flat_out[start : start + _TABLE_CHUNK] = y
     return out if q.ndim else float(out)
 
 

@@ -679,9 +679,13 @@ def thermal_weak_residual(
         rhs = _trapz(rhs_phi, times)
         rhs -= float(np.sum(w * w_h0 * phi.value(times[0])))
         residuals.append((phi.name, float(rhs - lhs)))
-    worst = min(residuals, key=lambda kv: kv[1])
+    # the lowest residual; a tie (mirror-image members can agree to the last
+    # bit) goes to the member that comes first in the bank
+    worst_name, min_residual = residuals[
+        min(range(len(residuals)), key=lambda j: (residuals[j][1], j))
+    ]
     return WeakResidualReport(
-        residuals=tuple(residuals), min_residual=worst[1], worst_name=worst[0]
+        residuals=tuple(residuals), min_residual=min_residual, worst_name=worst_name
     )
 
 

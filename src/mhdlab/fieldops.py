@@ -22,6 +22,14 @@ Composite operators (viscous stress divergence, double curl) apply the
 outer derivative term by term so each uses the parity the inner term
 actually has along that axis: d/dx_j of u_i flips the parity along x_j and
 leaves the other axes alone.
+
+Stacking: d1 and d2 act on the last three axes, so leading axes stack any
+operands that share a parity, and a stacked call does for each operand the
+arithmetic of a call of its own; out= writes the result into a preallocated
+slot.  solver.rhs makes its stencils this way, two stacked passes per axis
+(one ODD, one EVEN d1 each) plus one d2.  One pass along axis j yields d_j
+of every operand, so it keeps its tables by column, T[j][i] = d_j F_i: the
+transpose of the row layout G[i, j] of vector_gradient.
 """
 
 from __future__ import annotations
@@ -47,9 +55,11 @@ __all__ = [
     "table_curl",
     "curl",
     "laplacian",
+    "coefficient",
     "stress_tensor",
     "stress_divergence",
     "dissipation",
+    "cross",
     "lorentz_force",
     "induction_rhs",
     "double_curl",
@@ -69,42 +79,73 @@ def _ax_slices(axis: int):
     return sl
 
 
-def d1(grid: Grid, f: np.ndarray, axis: int, parity: int) -> np.ndarray:
-    """First derivative along `axis` with the given wall parity."""
-    n = grid.shape[axis]
-    if n == 1:
-        return np.zeros_like(f)
+def _flat_operands(f: np.ndarray, axis: int, out):
+    """f and out as flat C-ordered vectors, and the flat offset between
+    neighbours along grid axis `axis`.
+
+    With both arrays flat, the centred stencil of every interior node is
+    one contiguous vector operation; the nodes it gets wrong are the two
+    walls of each line, which the caller overwrites with the wall rule.
+    """
+    f = np.ascontiguousarray(f)
+    if out is None:
+        out = np.empty_like(f)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    step = f.strides[axis - 3] // f.itemsize
+    return f, out, f.reshape(-1), out.reshape(-1), step
+
+
+def d1(grid: Grid, f: np.ndarray, axis: int, parity: int, out=None) -> np.ndarray:
+    """First derivative along `axis` with the given wall parity, written
+    into `out` (C-contiguous, not overlapping f) when it is given."""
+    if grid.shape[axis] == 1:
+        out = np.empty_like(f) if out is None else out
+        out[...] = 0.0
+        return out
     h = grid.spacing[axis]
+    f, out, ff, oo, s = _flat_operands(f, axis, out)
+    mid = oo[s:-s]
+    np.subtract(ff[2 * s :], ff[: -2 * s], out=mid)
+    mid /= 2.0 * h
     sl = _ax_slices(axis)
-    out = np.empty_like(f)
-    out[sl(slice(1, -1))] = (f[sl(slice(2, None))] - f[sl(slice(None, -2))]) / (2.0 * h)
     if parity == EVEN:
         out[sl(0)] = 0.0
         out[sl(-1)] = 0.0
     else:
-        out[sl(0)] = f[sl(1)] / h
-        out[sl(-1)] = -f[sl(-2)] / h
+        np.divide(f[sl(1)], h, out=out[sl(0)])
+        # -f/h and f/(-h) round alike
+        np.divide(f[sl(-2)], -h, out=out[sl(-1)])
     return out
 
 
-def d2(grid: Grid, f: np.ndarray, axis: int, parity: int) -> np.ndarray:
-    """Compact second derivative along `axis` with the given wall parity."""
-    n = grid.shape[axis]
-    if n == 1:
-        return np.zeros_like(f)
+def d2(grid: Grid, f: np.ndarray, axis: int, parity: int, out=None) -> np.ndarray:
+    """Compact second derivative along `axis` with the given wall parity,
+    written into `out` (C-contiguous, not overlapping f) when it is given."""
+    if grid.shape[axis] == 1:
+        out = np.empty_like(f) if out is None else out
+        out[...] = 0.0
+        return out
     h = grid.spacing[axis]
     h2 = h * h
+    f, out, ff, oo, s = _flat_operands(f, axis, out)
+    mid = oo[s:-s]
+    np.multiply(ff[s:-s], 2.0, out=mid)
+    np.subtract(ff[2 * s :], mid, out=mid)
+    mid += ff[: -2 * s]
+    mid /= h2
     sl = _ax_slices(axis)
-    out = np.empty_like(f)
-    out[sl(slice(1, -1))] = (
-        f[sl(slice(2, None))] - 2.0 * f[sl(slice(1, -1))] + f[sl(slice(None, -2))]
-    ) / h2
+    lo, hi = out[sl(0)], out[sl(-1)]
     if parity == EVEN:
-        out[sl(0)] = 2.0 * (f[sl(1)] - f[sl(0)]) / h2
-        out[sl(-1)] = 2.0 * (f[sl(-2)] - f[sl(-1)]) / h2
+        np.subtract(f[sl(1)], f[sl(0)], out=lo)
+        np.subtract(f[sl(-2)], f[sl(-1)], out=hi)
+        lo *= 2.0
+        hi *= 2.0
     else:
-        out[sl(0)] = -2.0 * f[sl(0)] / h2
-        out[sl(-1)] = -2.0 * f[sl(-1)] / h2
+        np.multiply(f[sl(0)], -2.0, out=lo)
+        np.multiply(f[sl(-1)], -2.0, out=hi)
+    lo /= h2
+    hi /= h2
     return out
 
 
@@ -180,6 +221,12 @@ def _is_zero_coeff(fn) -> bool:
     return isinstance(fn, Const) and fn.c == 0.0
 
 
+def coefficient(fn, theta):
+    """fn(theta); a Const gives its value as a Python float, which scales
+    an array to the same bits as a filled array would, without filling one."""
+    return fn.c if isinstance(fn, Const) else fn(theta)
+
+
 def stress_divergence(grid: Grid, law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
     """(div psi)_i, assembled term by term with parity-correct outer stencils.
 
@@ -211,9 +258,23 @@ def stress_divergence(grid: Grid, law: ConstitutiveLaw, du: np.ndarray, theta) -
 # ---------------------------------------------------------------------------
 
 
+def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a x b over the leading component axis, written out by component.
+
+    Each component is one product minus another, in the order np.cross
+    uses, so the result is bitwise equal to np.cross(a, b, axis=0).
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for c, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[i], b[j], out=out[c])
+        out[c] -= a[j] * b[i]
+    return out
+
+
 def lorentz_force(grid: Grid, H: np.ndarray) -> np.ndarray:
     """(curl H) x H."""
-    return np.cross(curl(grid, H), H, axis=0)
+    return cross(curl(grid, H), H)
 
 
 def double_curl(grid: Grid, dH: np.ndarray) -> np.ndarray:
@@ -242,8 +303,7 @@ def induction_rhs(grid: Grid, law: ConstitutiveLaw, u, H, dH) -> np.ndarray:
 
     u x H is a product of two odd fields, hence EVEN along every axis.
     """
-    e = np.cross(u, H, axis=0)
-    return curl(grid, e, parity=EVEN) - law.nu * double_curl(grid, dH)
+    return curl(grid, cross(u, H), parity=EVEN) - law.nu * double_curl(grid, dH)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +325,8 @@ def identity_residual(grid: Grid, u, H) -> IdentityResidual:
     Both sides are discretized with the same centered stencils; for smooth
     compactly supported fields the residual is pure O(h^2) truncation.
     """
-    e = np.cross(u, H, axis=0)
-    G = np.cross(e, H, axis=0)
+    e = cross(u, H)
+    G = cross(e, H)
     lhs = divergence(grid, G, parity=ODD)
     rhs = np.sum(lorentz_force(grid, H) * u, axis=0) + np.sum(
         curl(grid, e, parity=EVEN) * H, axis=0

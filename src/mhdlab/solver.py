@@ -10,41 +10,41 @@ conducting / insulating wall conditions are encoded in the ghost handling
 and re-imposed exactly after each stage.  H is re-projected divergence-free
 after every full step.
 
-rhs is assembled from the fieldops operators (gradient, divergence,
-laplacian, stress_divergence, dissipation, induction_rhs); it computes the
-gradient tables of u and H once and passes them to every operator that
-reads them.
+rhs is assembled in two stacked stencil phases.  Each makes one ODD and one
+EVEN fieldops.d1 call per active axis on a stack of operands that share the
+parity: phase 1 differentiates the state-level operands (u, H, the mass and
+heat fluxes; u x H, rho and the total pressure), phase 2 the table-level ones
+(the columns and rows of the gradient tables of H and mu*u, rho u u_j and the
+lam terms).  One d2 call per axis on [rho, K] gives both Laplacians.  The
+gradient tables are kept by column: column j holds d_j of every operand of a
+stack, and a suppressed axis has an exact zero column.  The arithmetic is
+that of the fieldops operators (gradient, divergence, laplacian,
+stress_divergence, dissipation, induction_rhs), term for term, so the result
+is the same to the last bit; only + - * / are restacked, and pow is taken on
+the same arrays as there.  Operands are written straight into the stack
+slots, and the stacks and tables live in scratch buffers kept per grid shape
+and thread, so no call allocates one of them.
 
 Regularization knobs: epsilon adds mass diffusion (with its compensating
 velocity-gradient force in the momentum equation), delta carries the
 artificial pressure delta*rho^beta, the thermal sink delta*theta^(alpha+1),
 the (1-delta) damping of the heating terms, and the heat-capacity padding
 (rho + delta).
-
-Assembly is data-parallel over grid slabs (vectorized numpy); reductions use
-fixed-shape pairwise summation, so results do not depend on thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .constitutive import ConstitutiveLaw, heat_content, conductivity_potential, pressure, temperature_from_heat
 from .errors import ConfigError, InvariantViolation, NumericalAbort
-from .fieldops import (
-    EVEN,
-    dissipation,
-    divergence,
-    gradient,
-    induction_rhs,
-    laplacian,
-    stress_divergence,
-    table_curl,
-    vector_gradient,
-)
+from .fieldops import EVEN, ODD, _is_zero_coeff, coefficient, cross, d1, d2, divergence
 from .grid import Grid
 from .projection import DivFreeProjector, projector_for
 
@@ -243,6 +243,45 @@ def mollify_initial_data(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _workspace(shape: tuple, thread: int) -> SimpleNamespace:
+    """Scratch buffers of rhs for one grid shape and thread.
+
+    They are kept from call to call because allocating and freeing stacks
+    this large on every call makes malloc return them to the system and
+    fault them back in: so allocated, the stacked rhs measured slower on
+    65x65 and 17^3 than the term-by-term assembly it replaced.  No value
+    carries over: each call writes every slot it reads, and the rows of
+    suppressed axes in the column tables, never written, stay zero.
+    """
+
+    def buf(*lead):
+        return np.zeros(lead + shape)
+
+    return SimpleNamespace(
+        even=buf(10),  # EVEN d1 operands (phase 1 also keeps K for d2)
+        odd=buf(8),  # ODD d1 operands
+        odd_col=buf(3, 8),
+        even_col=buf(3, 5),
+        along=buf(3, 10),
+        across=buf(3, 8),
+    )
+
+
+def _sum(terms, pad: bool = True) -> np.ndarray:
+    """Add terms left to right into a new array.
+
+    pad=True also adds +0.0, which turns a -0.0 result into +0.0 and so
+    reproduces bit for bit a sum that had exact +0.0 terms anywhere in it:
+    a zero-filled accumulator, or the column of a suppressed axis.
+    """
+    first, *rest = terms
+    acc = first + 0.0 if pad else first + rest.pop(0)
+    for term in rest:
+        acc += term
+    return acc
+
+
 def rhs(
     grid: Grid,
     law: ConstitutiveLaw,
@@ -263,58 +302,133 @@ def rhs(
     """
     eps = params.epsilon
     delta = params.delta
+    axes = grid.active_axes
+    shape = grid.shape
+    # a sum over all three axes meets the exact zero column of a suppressed one
+    padded = len(axes) < 3
+    ws = _workspace(shape, threading.get_ident())
+    mu = coefficient(law.mu, theta)
+    lam = None if _is_zero_coeff(law.lam) else coefficient(law.lam, theta)
+    rho_u = rho * u
+    rho_q = rho * heat_content(law, theta)
 
-    # magnetic: curl(u x H) - nu curl(curl H).  It goes first so the H table
-    # is freed before the u table is built; the lower peak keeps malloc from
-    # growing and trimming the heap (and page-faulting it back) on every call.
-    dH = vector_gradient(grid, H)
-    curl_H = table_curl(dH)
-    induction = induction_rhs(grid, law, u, H, dH)
-    del dH
+    # phase 1: one ODD and one EVEN d1 per axis on the state-level operands,
+    # and one d2 per axis on [rho, K].  Column j of a table holds d_j of
+    # every operand: du[i, j] = odd_col[j, i], dH[i, j] = odd_col[j, 3 + i],
+    # d_j (u x H)_i = even_col[j, i], d_j ptot = even_col[j, 3] and
+    # d_j rho = even_col[j, 4].
+    odd = ws.odd  # u, H, rho u_j, rho Q u_j
+    even = ws.even[:6]  # u x H, ptot, rho, K
+    odd_col, even_col = ws.odd_col, ws.even_col
+    odd[0:3] = u
+    odd[3:6] = H
+    cross(u, H, out=even[0:3])
+    np.add(pressure(law, rho, theta), delta * np.power(rho, params.beta), out=even[3])
+    even[4] = rho
+    even[5] = conductivity_potential(law, theta)
+    for j in axes:
+        np.copyto(odd[6], rho_u[j])
+        np.multiply(rho_q, u[j], out=odd[7])
+        d1(grid, odd, j, ODD, out=odd_col[j])
+        d1(grid, even[:5], j, EVEN, out=even_col[j])
+    lap = _sum([d2(grid, even[4:], j, EVEN) for j in axes])  # lap rho, lap K
+    flux_div = _sum([odd_col[j, 6:8] for j in axes])  # div(rho u), div(rho Q u)
+    divu = _sum([odd_col[j, j] for j in axes], padded)
 
-    du = vector_gradient(grid, u)
-    divu = du[0, 0] + du[1, 1] + du[2, 2]
-    grad_rho = gradient(grid, rho)
+    induction = np.empty((3,) + shape)
+    curl_H = np.empty((3,) + shape)
+    for c, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(odd_col[i, 3 + j], odd_col[j, 3 + i], out=curl_H[c])
+        np.subtract(even_col[i, j], even_col[j, i], out=induction[c])
+
+    # phase 2: one EVEN and one ODD d1 per axis on the table-level operands.
+    # Along axis j, d_j F_i is EVEN and d_i F_j is ODD (i != j) for F = u, H;
+    # rho u_i u_j is EVEN; lam du[k, k] is EVEN along k and ODD across it.
+    # along[j] = d_j [dH[:, j], mu du[:, j], rho u u_j, lam du[j, j]] and
+    # across[j] = d_j [dH[j, :], mu du[j, :], lam du[k, k] for k != j].
+    n_even = 9 if lam is None else 10
+    n_odd = 6 if lam is None else 5 + len(axes)
+    even, odd = ws.even[:n_even], ws.odd[:n_odd]
+    along, across = ws.along, ws.across
+    for j in axes:
+        even[0:3] = odd_col[j, 3:6]
+        np.multiply(mu, odd_col[j, 0:3], out=even[3:6])
+        np.multiply(rho_u, u[j], out=even[6:9])
+        for k in range(3):
+            odd[k] = odd_col[k, 3 + j]
+            np.multiply(mu, odd_col[k, j], out=odd[3 + k])
+        if lam is not None:
+            np.multiply(lam, odd_col[j, j], out=even[9])
+            for slot, k in enumerate((k for k in axes if k != j), 6):
+                np.multiply(lam, odd_col[k, k], out=odd[slot])
+        d1(grid, even, j, EVEN, out=along[j, :n_even])
+        d1(grid, odd, j, ODD, out=across[j, :n_odd])
+
+    # magnetic: curl(u x H) - nu curl(curl H)
+    curl_curl = np.empty((3,) + shape)
+    for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(across[a, c], along[a, c], out=curl_curl[c])
+        curl_curl[c] -= along[b, c]
+        curl_curl[c] += across[b, c]
+    curl_curl *= law.nu
+    induction -= curl_curl
 
     # mass: -div(rho u) + eps lap(rho)
-    drho = -divergence(grid, rho * u) + eps * laplacian(grid, rho)
+    drho = lap[0] * eps
+    drho -= flux_div[0]
 
     # momentum: -div(rho u x u) - grad(p + delta rho^beta)
     #           - eps (grad u) grad rho + (curl H) x H + div psi
-    ptot = pressure(law, rho, theta) + delta * np.power(rho, params.beta)
-    conv = divergence(grid, (rho * u)[:, None] * u[None], EVEN)
-    eps_force = du[:, 0] * grad_rho[0] + du[:, 1] * grad_rho[1] + du[:, 2] * grad_rho[2]
-    dm = (
-        -conv
-        - gradient(grid, ptot)
-        - eps * eps_force
-        + np.cross(curl_H, H, axis=0)
-        + stress_divergence(grid, law, du, theta)
-    )
+    # div psi: d_j [mu d_j u_i] is EVEN along j and d_j [mu d_i u_j] ODD for
+    # i != j, so the i = j entry comes from the EVEN pass
+    for j in axes:
+        across[j, 3 + j] = along[j, 3 + j]
+    stress = _sum([col[j, 3:6] for j in axes for col in (along, across)])
+    if lam is not None:
+        for i in axes:
+            slots = iter(across[i, 6:n_odd])
+            for k in axes:
+                stress[i] += along[i, 9] if k == i else next(slots)
+    dm = _sum([along[j, 6:9] for j in axes])
+    np.negative(dm, out=dm)
+    for j in axes:
+        dm[j] -= even_col[j, 3]
+    eps_force = _sum([odd_col[j, 0:3] * even_col[j, 4] for j in axes], padded)
+    eps_force *= eps
+    dm -= eps_force
+    dm += cross(curl_H, H)
+    dm += stress
 
     # thermal: -div(rho Q u) + lap K - delta theta^(alpha+1)
     #          + (1-delta)(nu |curl H|^2 + psi:grad u) - theta p_th div u
-    q_heat = heat_content(law, theta)
-    k_pot = conductivity_potential(law, theta)
-    heating = law.nu * np.sum(curl_H * curl_H, axis=0) + dissipation(law, du, theta)
-    dw = (
-        -divergence(grid, rho * q_heat * u)
-        + laplacian(grid, k_pot)
-        - delta * np.power(theta, law.alpha + 1.0)
-        + (1.0 - delta) * heating
-        - theta * law.p_th(rho) * divu
-    )
+    # psi:grad u = (mu/2) sum_ij (d_i u_j + d_j u_i)^2 + lam (div u)^2; the
+    # squares are never -0.0, so the exact zeros of pairs of suppressed axes
+    # are left out without changing a bit
+    sym2 = {}
+    for i in range(3):
+        for j in range(i, 3):
+            if i in axes or j in axes:
+                s = odd_col[j, i] + odd_col[i, j]
+                sym2[i, j] = sym2[j, i] = s * s
+    diss = _sum([sym2[ij] for ij in sorted(sym2)], pad=False)
+    diss *= 0.5 * mu
+    if lam is not None:
+        diss += lam * divu * divu
+    sq = curl_H * curl_H
+    heating = sq[0] + sq[1]
+    heating += sq[2]
+    heating *= law.nu
+    heating += diss
+    heating *= 1.0 - delta
+    dw = lap[1] - flux_div[1]
+    dw -= delta * np.power(theta, law.alpha + 1.0)
+    dw += heating
+    dw -= theta * law.p_th(rho) * divu
 
     if sources is not None:
-        s_rho, s_m, s_w, s_H = sources(t)
-        if s_rho is not None:
-            drho = drho + s_rho
-        if s_m is not None:
-            dm = dm + s_m
-        if s_w is not None:
-            dw = dw + s_w
-        if s_H is not None:
-            induction = induction + s_H
+        for block, source in zip((drho, dm, dw, induction), sources(t)):
+            if source is not None:
+                block += source
     return drho, dm, dw, induction
 
 

@@ -140,6 +140,22 @@ def test_renormalized_conductivity_potential_quadrature(law):
         assert got == pytest.approx(ref, rel=1e-7)
 
 
+def test_renormalized_conductivity_potential_independent_of_table_range(law):
+    # the table spans [0, max query]; its cubic Hermite reading leaves each
+    # value within rounding of quad, however small it is next to the top
+    from scipy.integrate import quad
+
+    ren = Renormalizer(omega=0.5)
+    theta = np.array([1e-7, 0.3, 2.5, 10.0])
+    got = renormalized_conductivity_potential(law, ren, theta)
+    for th, g in zip(theta, got):
+        ref, _ = quad(lambda s: law.kappa(s) * (1.0 + s) ** -0.5, 0.0, th, epsrel=1e-13)
+        assert g == pytest.approx(ref, rel=1e-12)
+        assert float(renormalized_conductivity_potential(law, ren, th)) == pytest.approx(
+            g, rel=1e-13
+        )
+
+
 def test_renormalizer_evaluation():
     ren = Renormalizer(omega=0.5)
     assert ren(0.0) == pytest.approx(1.0)

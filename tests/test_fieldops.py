@@ -17,6 +17,7 @@ from mhdlab.grid import Grid
 from mhdlab.fieldops import (
     EVEN,
     ODD,
+    cross,
     curl,
     d1,
     d2,
@@ -246,6 +247,36 @@ def test_lorentz_force_oracle():
     assert np.max(np.abs(f[2])) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(3, 257, 1, 1), (3, 6, 5, 1), (3, 9, 7, 5), (3, 4)])
+def test_cross_bitwise_equals_numpy(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) * np.exp(4.0 * rng.standard_normal(shape))
+    b = rng.standard_normal(shape)
+    a[1, :2] = 0.0
+    b[2, 1:3] = -0.0
+    want = np.cross(a, b, axis=0)
+    got = cross(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    out = np.empty_like(want)
+    assert cross(a, b, out=out) is out and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("axis, parity", [(0, EVEN), (1, ODD), (2, ODD), (2, EVEN)])
+def test_d1_d2_write_into_out(axis, parity):
+    g = Grid(shape=(9, 7, 5), extents=(1.0, 1.2, 0.8))
+    f = np.random.default_rng(5).standard_normal((2,) + g.shape)
+    for op in (d1, d2):
+        out = np.full_like(f, np.nan)
+        assert op(g, f, axis, parity, out=out) is out
+        assert out.tobytes() == op(g, f, axis, parity).tobytes()
+        # a strided operand gives the bits of its contiguous copy
+        view = np.stack([f, -f], axis=-1)[..., 1]
+        assert op(g, view, axis, parity).tobytes() == op(g, view.copy(), axis, parity).tobytes()
+        with pytest.raises(ValueError, match="contiguous"):
+            op(g, f, axis, parity, out=np.empty((5,) + g.shape)[::2])
+
+
 def test_induction_rhs_pure_diffusion():
     # u = 0, H = (0,0,sin x): rhs = -nu curl curl H = nu * d2/dx2 H = -nu H
     law = make_standard_law(nu=1.0)
@@ -279,9 +310,9 @@ def _guard_stencils(monkeypatch, calls):
     for name in ("d1", "d2"):
         fn = getattr(fieldops, name)
 
-        def guarded(grid, f, axis, parity, _fn=fn, _name=name):
+        def guarded(grid, f, axis, parity, out=None, _fn=fn, _name=name):
             calls.append((_name, axis, grid.shape[axis]))
-            return _fn(grid, f, axis, parity)
+            return _fn(grid, f, axis, parity, out)
 
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("mhdlab") and getattr(mod, name, None) is fn:

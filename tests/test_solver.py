@@ -10,12 +10,32 @@ theta(t) = (1 + (0.3/1.1) t)^(-1/3) by separation of variables.  Everything
 else (clamp bounds, stability limits) is frozen from hand arithmetic.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from mhdlab.constitutive import make_standard_law, pressure
+from mhdlab import fieldops
+from mhdlab.constitutive import (
+    Tabulated,
+    conductivity_potential,
+    heat_content,
+    make_standard_law,
+    pressure,
+)
 from mhdlab.errors import ConfigError, InvariantViolation
-from mhdlab.fieldops import EVEN, d1, divergence, laplacian
+from mhdlab.fieldops import (
+    EVEN,
+    d1,
+    dissipation,
+    divergence,
+    gradient,
+    induction_rhs,
+    laplacian,
+    stress_divergence,
+    table_curl,
+    vector_gradient,
+)
 from mhdlab.grid import Grid
 from mhdlab.solver import (
     IncidentLog,
@@ -195,6 +215,151 @@ def test_rhs_density_bump_at_rest():
     for i in range(3):
         assert np.array_equal(dm[i], -d1(grid, ptot, i, EVEN))
     assert np.all(dH == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# rhs against the operator-by-operator assembly
+# ---------------------------------------------------------------------------
+
+
+def _reference_rhs(grid, law, params, rho, u, theta, H, *, t=0.0, sources=None):
+    """rhs assembled term by term from the public fieldops operators, each
+    computing its own stencils; the stacked rhs must match it bit for bit."""
+    eps = params.epsilon
+    delta = params.delta
+    dH = vector_gradient(grid, H)
+    curl_H = table_curl(dH)
+    induction = induction_rhs(grid, law, u, H, dH)
+    du = vector_gradient(grid, u)
+    divu = du[0, 0] + du[1, 1] + du[2, 2]
+    grad_rho = gradient(grid, rho)
+    drho = -divergence(grid, rho * u) + eps * laplacian(grid, rho)
+    ptot = pressure(law, rho, theta) + delta * np.power(rho, params.beta)
+    conv = divergence(grid, (rho * u)[:, None] * u[None], EVEN)
+    eps_force = du[:, 0] * grad_rho[0] + du[:, 1] * grad_rho[1] + du[:, 2] * grad_rho[2]
+    dm = (
+        -conv
+        - gradient(grid, ptot)
+        - eps * eps_force
+        + np.cross(curl_H, H, axis=0)
+        + stress_divergence(grid, law, du, theta)
+    )
+    q_heat = heat_content(law, theta)
+    k_pot = conductivity_potential(law, theta)
+    heating = law.nu * np.sum(curl_H * curl_H, axis=0) + dissipation(law, du, theta)
+    dw = (
+        -divergence(grid, rho * q_heat * u)
+        + laplacian(grid, k_pot)
+        - delta * np.power(theta, law.alpha + 1.0)
+        + (1.0 - delta) * heating
+        - theta * law.p_th(rho) * divu
+    )
+    if sources is not None:
+        s_rho, s_m, s_w, s_H = sources(t)
+        drho, dm, dw, induction = drho + s_rho, dm + s_m, dw + s_w, induction + s_H
+    return drho, dm, dw, induction
+
+
+_TAB_MU = Tabulated([0.5, 1.0, 1.5, 3.0], [0.1, 0.3, 0.2, 0.5])
+_RHS_CASES = {
+    # name: (shape, law, zero components)
+    "1d-lam-tabulated-mu": ((17, 1, 1), make_standard_law(mu=_TAB_MU, lam0=0.2), False),
+    "2d": ((9, 7, 1), make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1), True),
+    "2d-lam": ((9, 7, 1), make_standard_law(lam0=0.3), True),
+    "2d-xz-tabulated-mu-lam": (
+        (8, 1, 6),
+        make_standard_law(mu=_TAB_MU, lam=Tabulated([0.5, 2.0], [0.01, 0.2])),
+        False,
+    ),
+    "3d-lam": ((7, 6, 5), make_standard_law(lam0=0.05), False),
+    "3d-tabulated-mu": ((7, 6, 5), make_standard_law(mu=_TAB_MU), False),
+}
+
+
+def _random_state(grid, seed, zeros):
+    rng = np.random.default_rng(seed)
+    rho = 1.0 + 0.3 * rng.random(grid.shape)
+    theta = 0.5 + rng.random(grid.shape)
+    u = grid.zero_walls(rng.standard_normal((3,) + grid.shape))
+    H = grid.zero_walls(rng.standard_normal((3,) + grid.shape))
+    if zeros:
+        # a planar state, as vortex2d's: the exact zeros make signed zeros
+        u[2] = 0.0
+        H[2] = 0.0
+    sources = [
+        rng.standard_normal(grid.shape),
+        rng.standard_normal((3,) + grid.shape),
+        rng.standard_normal(grid.shape),
+        rng.standard_normal((3,) + grid.shape),
+    ]
+    return (rho, u, theta, H), sources
+
+
+def _assert_bitwise(got, want):
+    for block, g, w in zip(("mass", "momentum", "thermal", "magnetic"), got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype, block
+        assert g.tobytes() == w.tobytes(), block
+
+
+@pytest.mark.parametrize("name", sorted(_RHS_CASES))
+def test_rhs_bitwise_matches_reference(name):
+    shape, law, zeros = _RHS_CASES[name]
+    grid = Grid(shape=shape, extents=(1.0, 1.3, 0.9))
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    fields, srcs = _random_state(grid, len(name), zeros)
+    want = _reference_rhs(grid, law, params, *fields)
+    _assert_bitwise(rhs(grid, law, params, *fields), want)
+    # the scratch buffers are reused: a call with other fields in between
+    # must not leak into the next one
+    other, _ = _random_state(grid, 99, not zeros)
+    rhs(grid, make_standard_law(lam0=0.7), params, *other)
+    _assert_bitwise(rhs(grid, law, params, *fields), want)
+    sources = lambda t: srcs  # noqa: E731
+    _assert_bitwise(
+        rhs(grid, law, params, *fields, t=0.3, sources=sources),
+        _reference_rhs(grid, law, params, *fields, t=0.3, sources=sources),
+    )
+
+
+def test_rhs_bitwise_matches_reference_with_mms_sources():
+    from mhdlab.mms import make_manufactured_case
+
+    law = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    grid = Grid(shape=(65, 1, 1), extents=(np.pi, 1.0, 1.0))
+    case = make_manufactured_case(law, params)
+    sources = case.source_callable(grid)
+    for t in (0.0, 0.37):
+        st = case.exact_state(grid, t)
+        fields = (st.rho, st.u, st.theta, st.H)
+        _assert_bitwise(
+            rhs(grid, law, params, *fields, t=t, sources=sources),
+            _reference_rhs(grid, law, params, *fields, t=t, sources=sources),
+        )
+
+
+@pytest.mark.parametrize("shape", [(17, 1, 1), (9, 7, 1), (7, 6, 5)])
+@pytest.mark.parametrize("lam0", [0.0, 0.3])
+def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
+    # two stacked passes per active axis, each one ODD and one EVEN d1, plus
+    # one d2 on [rho, K]
+    calls = []
+    for name in ("d1", "d2"):
+        fn = getattr(fieldops, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("mhdlab") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    grid = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
+    fields, _ = _random_state(grid, 3, False)
+    rhs(grid, make_standard_law(lam0=lam0), SchemeParams(epsilon=0.05, delta=0.1), *fields)
+    n_active = grid.ndim_active
+    assert calls.count("d1") == 4 * n_active
+    assert calls.count("d2") == n_active
 
 
 # ---------------------------------------------------------------------------
