@@ -338,6 +338,37 @@ def test_rhs_bitwise_matches_reference_with_mms_sources():
         )
 
 
+def test_rhs_threads_keep_their_own_scratch_buffers():
+    # rhs reuses scratch buffers between calls; each thread has its own, so
+    # concurrent calls on one grid shape give the serial results
+    import threading
+
+    grid = Grid(shape=(41, 37, 1), extents=(1.0, 1.3, 1.0))
+    law = make_standard_law(lam0=0.2)
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    states = [_random_state(grid, seed, False)[0] for seed in range(6)]
+    want = [rhs(grid, law, params, *fields) for fields in states]
+    got = [None] * len(states)
+
+    def work(i):
+        for _ in range(20):
+            got[i] = rhs(grid, law, params, *states[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for g, w in zip(got, want):
+        _assert_bitwise(g, w)
+
+
 @pytest.mark.parametrize("shape", [(17, 1, 1), (9, 7, 1), (7, 6, 5)])
 @pytest.mark.parametrize("lam0", [0.0, 0.3])
 def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
