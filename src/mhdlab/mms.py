@@ -136,18 +136,12 @@ class ManufacturedCase:
             nonlocal last_t, last
             t = float(t)
             if t != last_t:
-                s_rho, m1, m2, m3, s_w, H1, H2, H3 = (
-                    np.broadcast_to(np.asarray(v, dtype=float), xs.shape)
-                    for v in self.sources(xs, t)
-                )
-                last = (
-                    s_rho.copy(),
-                    np.stack([m1, m2, m3]),
-                    s_w.copy(),
-                    np.stack([H1, H2, H3]),
-                )
-                for a in last:
-                    a.flags.writeable = False
+                # rows: s_rho, s_m (3), s_w, s_H (3)
+                table = np.empty((8,) + xs.shape)
+                for row, v in zip(table, self.sources(xs, t), strict=True):
+                    row[...] = v
+                table.flags.writeable = False
+                last = (table[0], table[1:4], table[4], table[5:8])
                 last_t = t
             return last
 

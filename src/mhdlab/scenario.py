@@ -392,6 +392,7 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
         "t_final": final.t,
         "dt_min": res.dt_min,
         "dt_max": res.dt_max,
+        "dt_last": res.dt_last,
         "mass_initial": records[0].mass,
         "mass_final": records[-1].mass,
         "mass_drift": abs(records[-1].mass - records[0].mass),

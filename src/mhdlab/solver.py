@@ -577,8 +577,11 @@ class RunResult:
     record_times: list = field(default_factory=list)
     recorded_states: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
+    # dt_min leaves out a final step shortened to land on t_end, which
+    # dt_last reports; a run whose only step was shortened reports it in both
     dt_min: float = math.inf
     dt_max: float = 0.0
+    dt_last: float = 0.0
 
 
 def run(
@@ -632,6 +635,7 @@ def run(
     while state.t < t_stop:
         limit = stable_dt(grid, law, params, state)
         dt = limit if params.dt is None else params.dt
+        cut = T - state.t < dt
         dt = min(dt, T - state.t)
         state = step(
             grid,
@@ -645,8 +649,10 @@ def run(
             dt_limit=limit,
         )
         steps += 1
-        result.dt_min = min(result.dt_min, dt)
+        if not cut:
+            result.dt_min = min(result.dt_min, dt)
         result.dt_max = max(result.dt_max, dt)
+        result.dt_last = dt
         while pending_snaps and state.t >= pending_snaps[0] - 1e-12:
             result.snapshots.append(state.copy())
             pending_snaps.pop(0)
@@ -659,6 +665,8 @@ def run(
             )
     if last_emitted != steps:
         emit(steps)
+    if result.dt_min == math.inf:
+        result.dt_min = result.dt_last
     result.final_state = state
     result.steps = steps
     return result

@@ -136,3 +136,19 @@ def test_console_wiring_subprocess(tmp_path):
     )
     assert bad.returncode == 2
     assert b"config error" in bad.stderr
+
+
+def test_cli_start_up_and_run_leave_scipy_unloaded(tmp_path):
+    # scipy only backs the quadrature fallback of non-catalog laws
+    cfg = _cfg(tmp_path, TINY.replace("shape = 9 7 1", "shape = 6 5 1"))
+    code = (
+        "import sys; from mhdlab.cli import main\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded(), loaded()\n"
+        "assert main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert not loaded(), loaded()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "out")], capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -156,6 +156,28 @@ def test_renormalized_conductivity_potential_independent_of_table_range(law):
         )
 
 
+def _simpson_tables():
+    rng = np.random.default_rng(17)
+    for n in (3, 4, 5, 8, 101, 32769):
+        even = np.linspace(0.0, 2.5, n)
+        uneven = np.cumsum(rng.uniform(0.05, 1.0, n))
+        yield even, np.sin(even) * np.exp(-even)
+        yield uneven, uneven**3 * (1.0 + uneven) ** -0.5
+        yield uneven, rng.standard_normal(n)
+
+
+def test_cumulative_simpson_is_scipys_bit_for_bit():
+    from scipy.integrate import cumulative_simpson
+
+    from mhdlab.constitutive import _cumulative_simpson
+
+    for x, y in _simpson_tables():
+        got = _cumulative_simpson(y, x)
+        want = cumulative_simpson(y, x=x, initial=0.0)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_renormalizer_evaluation():
     ren = Renormalizer(omega=0.5)
     assert ren(0.0) == pytest.approx(1.0)

@@ -132,6 +132,18 @@ def test_sources_evaluated_once_per_stage_time():
     assert [a.shape for a in first] == [(17, 1, 1), (3, 17, 1, 1), (17, 1, 1), (3, 17, 1, 1)]
 
 
+def test_source_arrays_match_broadcast_reference(case):
+    grid = _grid(32)
+    xs = grid.mesh()[0]
+    src = case.source_callable(grid)
+    for t in (0.0, 0.37, 1.25):
+        v = [np.broadcast_to(np.asarray(s, dtype=float), xs.shape) for s in case.sources(xs, t)]
+        want = (v[0], np.stack(v[1:4]), v[4], np.stack(v[5:8]))
+        for got, ref in zip(src(t), want):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_cli_import_leaves_sympy_unloaded():
     code = "import sys, mhdlab.cli; sys.exit('sympy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -173,6 +173,8 @@ def test_run_scenario_outputs(tmp_path):
     assert recs[0].t == 0.0
     assert summary["mass_drift"] <= 1e-12
     assert summary["t_final"] == pytest.approx(0.02)
+    assert 0.0 < summary["dt_last"] <= summary["dt_max"]
+    assert "dt_last = " in (out / "t-summary.txt").read_text()
     for name in ("rho", "u", "theta", "H"):
         assert (out / f"t-final-{name}.field").is_file()
         assert (out / f"t-snap00-{name}.field").is_file()

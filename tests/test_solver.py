@@ -630,6 +630,19 @@ def test_record_cadence_and_snapshots():
     assert res.record_times[-1] == pytest.approx(0.03, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "t_end,steps,dt_min,dt_last", [(2.5e-3, 3, 1e-3, 5e-4), (4e-4, 1, 4e-4, 4e-4)]
+)
+def test_dt_min_leaves_out_the_step_cut_to_land_on_t_end(t_end, steps, dt_min, dt_last):
+    # a run whose only step is cut has no other step to report
+    grid = Grid(shape=(6, 5, 1), extents=(1.0, 1.0, 1.0))
+    params = SchemeParams(epsilon=0.05, delta=0.1, dt=1e-3, t_end=t_end)
+    res = run(grid, make_standard_law(), params, _uniform_state(grid))
+    assert res.steps == steps
+    assert res.dt_min == dt_min
+    assert res.dt_last == pytest.approx(dt_last, rel=1e-12)
+
+
 def test_incident_log_totals():
     log = IncidentLog()
     assert log.total() == 0
