@@ -2,7 +2,8 @@
 
 The material model is split into a cold (elastic) pressure p_e(rho), a thermal
 pressure theta * p_th(rho), temperature-dependent transport coefficients
-mu, lambda, kappa, a specific heat c_v, and a constant magnetic diffusivity nu.
+mu, lambda, kappa, a constant specific heat c_v, and a constant magnetic
+diffusivity nu.
 From these the module derives the potentials that enter the energy and entropy
 bookkeeping:
 
@@ -14,26 +15,25 @@ bookkeeping:
 plus the renormalized variants Q_h, K_h obtained by weighting the integrand
 with h(theta) = (1+theta)^-omega.
 
-Laws are composed from a small catalog of primitive forms (constant, power,
-affine, tabulated and sums thereof) so that potentials and derivatives have
-closed forms wherever possible; anything else falls back to adaptive
-quadrature at relative tolerance 1e-10.  That fallback is scipy's `quad`,
-imported on its first use, so a law built from the catalog never loads
-scipy.
+Laws are composed from a small catalog of primitive forms: constant, power,
+sums of these, and piecewise-linear tables.  Every potential has a closed
+form for the first three; a table has none, so it may serve only as mu or
+lambda, which enter no potential.  A potential of any other piece raises
+TypeError: there is no quadrature fallback, and the module imports no scipy.
+Q and Q_h have closed forms and Q inverts exactly, because c_v is constant;
+K_h has no elementary form and is read from a dense cumulative Simpson table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Const",
     "Power",
-    "Affine",
     "Sum",
     "Tabulated",
     "HypothesisBounds",
@@ -53,13 +53,11 @@ __all__ = [
     "entropy",
     "maxwell_residual",
     "temperature_from_heat",
-    "cutoff",
     "check_admissible",
     "validate_hypotheses",
 ]
 
-_QUAD_RTOL = 1e-10
-# range over which sampled hypothesis checks and automatic bounds are taken
+# range over which the hypothesis checks are sampled
 _SAMPLE_SPAN = (1e-6, 1e3)
 _SAMPLE_COUNT = 256
 
@@ -105,24 +103,6 @@ class Power:
         return f"Power({self.coef}, {self.expo})"
 
 
-class Affine:
-    """a + b * x."""
-
-    def __init__(self, a: float, b: float):
-        self.a = float(a)
-        self.b = float(b)
-
-    def __call__(self, x):
-        return self.a + self.b * np.asarray(x, dtype=float)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, self.b) if x.ndim else self.b
-
-    def __repr__(self):
-        return f"Affine({self.a}, {self.b})"
-
-
 class Sum:
     """Sum of primitive terms."""
 
@@ -153,38 +133,8 @@ class Tabulated:
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
 
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        slopes = np.diff(self.ys) / np.diff(self.xs)
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(slopes) - 1)
-        out = slopes[idx]
-        out = np.where((x < self.xs[0]) | (x > self.xs[-1]), 0.0, out)
-        return out if x.ndim else float(out)
-
     def __repr__(self):
         return f"Tabulated(n={len(self.xs)})"
-
-
-def _as_callable_with_deriv(f):
-    """Wrap a bare callable so .deriv exists (central finite difference)."""
-    if hasattr(f, "deriv"):
-        return f
-
-    class _Wrapped:
-        def __init__(self, fn):
-            self.fn = fn
-
-        def __call__(self, x):
-            return self.fn(x)
-
-        def deriv(self, x):
-            x = np.asarray(x, dtype=float)
-            step = 1e-6 * np.maximum(1.0, np.abs(x))
-            lo = np.maximum(x - step, 0.0)
-            hi = x + step
-            return (self.fn(hi) - self.fn(lo)) / (hi - lo)
-
-    return _Wrapped(f)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +190,18 @@ class ConstitutiveLaw:
             raise ValueError(f"nu must be positive, got nu={self.nu}")
 
 
+def _value_range(prim):
+    """(min, max) over all theta of a constant or tabulated coefficient.
+
+    Exact for a table too, since it is extrapolated flat beyond its ends.
+    """
+    if isinstance(prim, Const):
+        return prim.c, prim.c
+    if isinstance(prim, Tabulated):
+        return float(np.min(prim.ys)), float(np.max(prim.ys))
+    raise TypeError(f"no closed-form range for {prim!r}")
+
+
 def make_standard_law(
     gamma: float = 5.0 / 3.0,
     alpha: float = 3.0,
@@ -251,79 +213,56 @@ def make_standard_law(
     lam0: float = 0.0,
     kappa0: float = 1.0,
     cv0: float = 1.0,
-    p_e=None,
     p_th=None,
     mu=None,
     lam=None,
     kappa=None,
-    c_v=None,
-    bounds: HypothesisBounds | None = None,
 ) -> ConstitutiveLaw:
     """Build the power-family law, optionally overriding individual pieces.
 
-    Defaults: p_e = pe0 rho^gamma, p_th = pth0 rho^(gamma/3), mu = mu0,
-    lambda = lam0, kappa = kappa0 (1 + theta^alpha), c_v = cv0.  Bound
-    constants are derived from samples of the actual coefficients with a
-    small relative margin, so self-consistent laws validate cleanly.
+    p_e = pe0 rho^gamma and c_v = cv0 always; the defaults of the others are
+    p_th = pth0 rho^(gamma/3), mu = mu0, lambda = lam0 and kappa = kappa0
+    (1 + theta^alpha).  Bound constants carry a 1e-9 relative margin; the
+    viscosity bounds are the range of the mu and lambda pieces passed, the
+    rest are the envelope of the declared family.
     """
-    p_e = _as_callable_with_deriv(p_e if p_e is not None else Power(pe0, gamma))
-    p_th = _as_callable_with_deriv(
-        p_th if p_th is not None else Power(pth0, gamma / 3.0)
-    )
-    mu = _as_callable_with_deriv(mu if mu is not None else Const(mu0))
-    lam = _as_callable_with_deriv(lam if lam is not None else Const(lam0))
-    kappa = _as_callable_with_deriv(
-        kappa if kappa is not None else Sum(Const(kappa0), Power(kappa0, alpha))
-    )
-    c_v = _as_callable_with_deriv(c_v if c_v is not None else Const(cv0))
+    p_th = p_th if p_th is not None else Power(pth0, gamma / 3.0)
+    mu = mu if mu is not None else Const(mu0)
+    lam = lam if lam is not None else Const(lam0)
+    kappa = kappa if kappa is not None else Sum(Const(kappa0), Power(kappa0, alpha))
 
-    if bounds is None:
-        # envelope of the declared standard family; custom callables are
-        # judged against it unless explicit bounds are supplied
-        slack = 1e-9
-        bounds = HypothesisBounds(
-            a1=pe0 * gamma * (1.0 - slack),
-            a2=pe0 * (1.0 + slack),
-            a3=pth0 * (1.0 + slack),
-            kappa_lo=kappa0 * (1.0 - slack),
-            kappa_hi=kappa0 * (1.0 + slack),
-            mu_lo=mu0 * (1.0 - slack),
-            mu_hi=mu0 * (1.0 + slack),
-            lam_hi=max(lam0, 0.0) * (1.0 + slack),
-            cv_lo=cv0 * (1.0 - slack),
-            cv_hi=cv0 * (1.0 + slack),
-        )
+    slack = 1e-9
+    mu_min, mu_max = _value_range(mu)
+    bounds = HypothesisBounds(
+        a1=pe0 * gamma * (1.0 - slack),
+        a2=pe0 * (1.0 + slack),
+        a3=pth0 * (1.0 + slack),
+        kappa_lo=kappa0 * (1.0 - slack),
+        kappa_hi=kappa0 * (1.0 + slack),
+        mu_lo=mu_min * (1.0 - slack),
+        mu_hi=mu_max * (1.0 + slack),
+        lam_hi=max(_value_range(lam)[1], 0.0) * (1.0 + slack),
+        cv_lo=cv0 * (1.0 - slack),
+        cv_hi=cv0 * (1.0 + slack),
+    )
 
     return ConstitutiveLaw(
         gamma=float(gamma),
         alpha=float(alpha),
         nu=float(nu),
-        p_e=p_e,
+        p_e=Power(pe0, gamma),
         p_th=p_th,
         mu=mu,
         lam=lam,
         kappa=kappa,
-        c_v=c_v,
+        c_v=Const(cv0),
         bounds=bounds,
     )
 
 
 # ---------------------------------------------------------------------------
-# potentials (closed forms per primitive, quadrature fallback)
+# potentials (closed forms per primitive)
 # ---------------------------------------------------------------------------
-
-
-def _quad_vec(integrand, lo, x):
-    """Adaptive quadrature of integrand from lo to each entry of x."""
-    from scipy.integrate import quad
-
-    xs = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(xs).ravel()
-    out = np.empty_like(flat)
-    for i, xi in enumerate(flat):
-        out[i] = quad(integrand, lo, xi, epsrel=_QUAD_RTOL, limit=200)[0]
-    out = out.reshape(np.atleast_1d(xs).shape)
-    return out if xs.ndim else float(out[0])
 
 
 def _antideriv_over_sq(prim, rho):
@@ -336,11 +275,9 @@ def _antideriv_over_sq(prim, rho):
         if abs(e) < 1e-14:
             return prim.coef * np.log(rho)
         return prim.coef * (np.power(rho, e) - 1.0) / e
-    if isinstance(prim, Affine):
-        return prim.a * (1.0 - 1.0 / rho) + prim.b * np.log(rho)
     if isinstance(prim, Sum):
         return sum(_antideriv_over_sq(t, rho) for t in prim.terms)
-    return _quad_vec(lambda s: prim(s) / s**2, 1.0, rho)
+    raise TypeError(f"no closed form for {prim!r}")
 
 
 def _antideriv_from_zero(prim, x):
@@ -353,11 +290,9 @@ def _antideriv_from_zero(prim, x):
         if e <= 0:
             raise ValueError(f"non-integrable power {prim.expo} at zero")
         return prim.coef * np.power(x, e) / e
-    if isinstance(prim, Affine):
-        return prim.a * x + 0.5 * prim.b * x**2
     if isinstance(prim, Sum):
         return sum(_antideriv_from_zero(t, x) for t in prim.terms)
-    return _quad_vec(prim, 0.0, x)
+    raise TypeError(f"no closed form for {prim!r}")
 
 
 def _antideriv_over_x(prim, x):
@@ -369,11 +304,9 @@ def _antideriv_over_x(prim, x):
         if abs(prim.expo) < 1e-14:
             return prim.coef * np.log(x)
         return prim.coef * (np.power(x, prim.expo) - 1.0) / prim.expo
-    if isinstance(prim, Affine):
-        return prim.a * np.log(x) + prim.b * (x - 1.0)
     if isinstance(prim, Sum):
         return sum(_antideriv_over_x(t, x) for t in prim.terms)
-    return _quad_vec(lambda s: prim(s) / s, 1.0, x)
+    raise TypeError(f"no closed form for {prim!r}")
 
 
 def elastic_potential(law: ConstitutiveLaw, rho):
@@ -450,10 +383,6 @@ class Renormalizer:
         t = np.asarray(theta, dtype=float)
         return -self.omega * np.power(1.0 + t, -self.omega - 1.0)
 
-    def deriv2(self, theta):
-        t = np.asarray(theta, dtype=float)
-        return self.omega * (self.omega + 1.0) * np.power(1.0 + t, -self.omega - 2.0)
-
 
 def _simpson_first_intervals(y, dx):
     """Simpson integral over [x_i, x_i+1] of the parabola through nodes i,
@@ -522,12 +451,10 @@ def _cumulative_weighted(fn, queries, n=32769):
 def renormalized_heat_content(law: ConstitutiveLaw, ren: Renormalizer, theta):
     """Q_h(theta) = int_0^theta c_v(s) h(s) ds."""
     t = np.asarray(theta, dtype=float)
-    if isinstance(law.c_v, Const):
-        w = ren.omega
-        if abs(w - 1.0) < 1e-14:
-            return law.c_v.c * np.log1p(t)
-        return law.c_v.c * (np.power(1.0 + t, 1.0 - w) - 1.0) / (1.0 - w)
-    return _cumulative_weighted(lambda s: law.c_v(s) * ren(s), t)
+    w = ren.omega
+    if abs(w - 1.0) < 1e-14:
+        return law.c_v.c * np.log1p(t)
+    return law.c_v.c * (np.power(1.0 + t, 1.0 - w) - 1.0) / (1.0 - w)
 
 
 def renormalized_conductivity_potential(law: ConstitutiveLaw, ren: Renormalizer, theta):
@@ -609,52 +536,19 @@ def check_admissible(candidate, theta_max: float = 1e4) -> AdmissibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# temperature recovery and truncation
+# temperature recovery
 # ---------------------------------------------------------------------------
 
 
-def temperature_from_heat(law: ConstitutiveLaw, w, rtol: float = 1e-12):
-    """Invert Q: find theta with Q(theta) = w, w >= 0 entrywise.
-
-    Constant c_v inverts directly; otherwise bisection on the monotone Q,
-    refined to relative tolerance rtol.
-    """
+def temperature_from_heat(law: ConstitutiveLaw, w):
+    """Invert Q: theta = w / c_v for heat content w >= 0 entrywise."""
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0):
         raise ValueError(
             f"heat content must be nonnegative, min = {float(np.min(w)):.6g}"
         )
-    if isinstance(law.c_v, Const):
-        out = w / law.c_v.c
-        return out if w.ndim else float(out)
-
-    hi = np.maximum(1.0, np.max(w) / max(float(law.c_v(0.0)), 1e-8))
-    for _ in range(200):
-        if np.all(_antideriv_from_zero(law.c_v, hi) >= np.max(w)):
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("failed to bracket temperature recovery")
-    lo = np.zeros_like(np.atleast_1d(w))
-    hi = np.full_like(lo, hi)
-    wf = np.atleast_1d(w)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        too_low = np.asarray(_antideriv_from_zero(law.c_v, mid)) < wf
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-        if np.all(hi - lo <= rtol * np.maximum(hi, 1.0)):
-            break
-    out = 0.5 * (lo + hi)
-    out = np.where(wf == 0.0, 0.0, out)
-    return out.reshape(w.shape) if w.ndim else float(out[0])
-
-
-def cutoff(rho, k: float):
-    """Truncation T_k(rho) = min(rho, k); requires level k >= 1."""
-    if not k >= 1.0:
-        raise ValueError(f"cutoff level must be >= 1, got {k}")
-    return np.minimum(np.asarray(rho, dtype=float), k)
+    out = w / law.c_v.c
+    return out if w.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +567,6 @@ class CheckResult:
 @dataclass
 class HypothesisReport:
     checks: list[CheckResult]
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -684,14 +577,6 @@ class HypothesisReport:
         return [
             f"{c.name}: {c.description} -- {c.detail}" for c in self.checks if not c.passed
         ]
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            mark = "ok " if c.passed else "FAIL"
-            lines.append(f"[{mark}] {c.name}: {c.description}" + (f" ({c.detail})" if c.detail else ""))
-        lines.extend(f"[note] {n}" for n in self.notes)
-        return "\n".join(lines)
 
 
 def _sampled_check(name, desc, xs, lhs, rhs, checks):
@@ -722,7 +607,6 @@ def validate_hypotheses(
     """
     b = law.bounds
     checks: list[CheckResult] = []
-    notes: list[str] = []
     rho = np.geomspace(span[0], span[1], samples)
     theta = np.geomspace(span[0], span[1], samples)
 
@@ -820,13 +704,4 @@ def validate_hypotheses(
     _sampled_check("cv_lower", "cv_lo <= c_v(theta)", theta, np.full_like(theta, b.cv_lo), cvv, checks)
     _sampled_check("cv_upper", "c_v(theta) <= cv_hi", theta, cvv, np.full_like(theta, b.cv_hi), checks)
 
-    combo = 2.0 * muv + 3.0 * lamv
-    if np.all(combo > 0.0):
-        notes.append("2 mu + 3 lambda > 0 on the sampled range")
-    else:
-        i = int(np.argmin(combo))
-        notes.append(
-            f"2 mu + 3 lambda <= 0 at theta={theta[i]:.3g} (informational only)"
-        )
-
-    return HypothesisReport(checks=checks, notes=notes)
+    return HypothesisReport(checks=checks)

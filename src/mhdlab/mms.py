@@ -64,9 +64,6 @@ def _family_scalars(law: ConstitutiveLaw) -> dict:
         )
 
     for r in _SAMPLE_RHO:
-        want = vals["pe0"] * r ** vals["gamma"]
-        if not math.isclose(float(law.p_e(r)), want, rel_tol=1e-9):
-            bad("p_e", float(law.p_e(r)), want)
         want = vals["pth0"] * r ** (vals["gamma"] / 3.0)
         if not math.isclose(float(law.p_th(r)), want, rel_tol=1e-9):
             bad("p_th", float(law.p_th(r)), want)
@@ -80,8 +77,6 @@ def _family_scalars(law: ConstitutiveLaw) -> dict:
         want = vals["kappa0"] * (1.0 + th ** vals["alpha"])
         if not math.isclose(float(law.kappa(th)), want, rel_tol=1e-9):
             bad("kappa", float(law.kappa(th)), want)
-        if not math.isclose(float(law.c_v(th)), vals["cv0"], rel_tol=1e-9):
-            bad("c_v", float(law.c_v(th)), vals["cv0"])
     return vals
 
 

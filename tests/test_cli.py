@@ -1,5 +1,6 @@
 """Command line behavior: dispatch, outputs, exit codes."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 from mhdlab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mhdlab"
 
 TINY = """
 [grid]
@@ -139,7 +141,7 @@ def test_console_wiring_subprocess(tmp_path):
 
 
 def test_cli_start_up_and_run_leave_scipy_unloaded(tmp_path):
-    # scipy only backs the quadrature fallback of non-catalog laws
+    # scipy is a test-only dependency; loading it took 0.9 s of start-up
     cfg = _cfg(tmp_path, TINY.replace("shape = 9 7 1", "shape = 6 5 1"))
     code = (
         "import sys; from mhdlab.cli import main\n"
@@ -152,3 +154,16 @@ def test_cli_start_up_and_run_leave_scipy_unloaded(tmp_path):
         [sys.executable, "-c", code, cfg, str(tmp_path / "out")], capture_output=True
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_package_source_imports_no_scipy():
+    # the tests use scipy as an independent oracle; the package never does
+    modules = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.append((path.name, node.module))
+    assert len({name for name, _ in modules}) > 10
+    assert [m for m in modules if m[1].split(".")[0] == "scipy"] == []

@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from mhdlab.constitutive import (
-    Affine,
     Const,
     Power,
     Renormalizer,
     Sum,
     Tabulated,
     check_admissible,
-    cutoff,
     elastic_potential,
     entropy,
     heat_content,
@@ -183,7 +181,6 @@ def test_renormalizer_evaluation():
     assert ren(0.0) == pytest.approx(1.0)
     assert ren(3.0) == pytest.approx(0.5)
     assert ren.deriv(0.0) == pytest.approx(-0.5)
-    assert ren.deriv2(0.0) == pytest.approx(0.75)
     with pytest.raises(ValueError):
         Renormalizer(omega=0.0)
     with pytest.raises(ValueError):
@@ -241,6 +238,29 @@ def test_negative_shear_bulk_viscosity_rejected():
     assert any("lambda" in f for f in rep.failures)
 
 
+def test_tabulated_viscosity_bounds_are_the_table_range():
+    # mu from 0.5 to 5 and lambda from 0 to 2 over theta: the bounds are the
+    # table extremes with the 1e-9 margin, so the law validates
+    law = make_standard_law(
+        mu=Tabulated([0.5, 3.0], [0.5, 5.0]), lam=Tabulated([0.5, 3.0], [0.0, 2.0])
+    )
+    assert law.bounds.mu_lo == 0.5 * (1.0 - 1e-9)
+    assert law.bounds.mu_hi == 5.0 * (1.0 + 1e-9)
+    assert law.bounds.lam_hi == 2.0 * (1.0 + 1e-9)
+    rep = validate_hypotheses(law)
+    assert rep.ok, rep.failures
+
+
+def test_default_viscosity_bounds_unchanged():
+    b = make_standard_law(mu0=0.1, lam0=0.3).bounds
+    assert (b.mu_lo, b.mu_hi, b.lam_hi) == (
+        0.1 * (1.0 - 1e-9),
+        0.1 * (1.0 + 1e-9),
+        0.3 * (1.0 + 1e-9),
+    )
+    assert make_standard_law(lam0=-0.2).bounds.lam_hi == 0.0
+
+
 def test_low_conductivity_exponent_rejected_at_construction():
     with pytest.raises(ValueError, match="alpha"):
         make_standard_law(gamma=GAMMA, alpha=2.0, nu=1.0)
@@ -265,7 +285,7 @@ def test_validator_runs_fast(law):
 
 
 # ---------------------------------------------------------------------------
-# temperature recovery and cutoff
+# temperature recovery
 # ---------------------------------------------------------------------------
 
 
@@ -275,25 +295,9 @@ def test_temperature_from_heat_constant_cv(law):
     np.testing.assert_allclose(temperature_from_heat(law, w), theta, rtol=1e-12, atol=1e-12)
 
 
-def test_temperature_from_heat_varying_cv():
-    law = make_standard_law(gamma=GAMMA, alpha=3.0, nu=1.0, c_v=Affine(1.0, 0.1))
-    theta = np.array([0.0, 0.5, 2.0, 9.0])
-    w = heat_content(law, theta)  # theta + 0.05 theta^2
-    np.testing.assert_allclose(w, theta + 0.05 * theta**2, rtol=1e-12)
-    back = temperature_from_heat(law, w)
-    np.testing.assert_allclose(back, theta, rtol=1e-10, atol=1e-12)
-
-
 def test_temperature_from_heat_rejects_negative(law):
     with pytest.raises(ValueError):
         temperature_from_heat(law, np.array([-0.5]))
-
-
-def test_cutoff_truncation():
-    rho = np.array([0.2, 1.0, 3.0, 12.0])
-    np.testing.assert_allclose(cutoff(rho, 3.0), [0.2, 1.0, 3.0, 3.0])
-    with pytest.raises(ValueError):
-        cutoff(rho, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +309,22 @@ def test_primitive_forms_and_derivatives():
     p = Power(2.0, 3.0)
     assert p(2.0) == pytest.approx(16.0)
     assert p.deriv(2.0) == pytest.approx(24.0)
-    a = Affine(1.0, 0.5)
-    assert a(4.0) == pytest.approx(3.0)
-    assert a.deriv(4.0) == pytest.approx(0.5)
     s = Sum(Const(1.0), Power(1.0, 3.0))  # kappa-style 1 + theta^3
     assert s(2.0) == pytest.approx(9.0)
     assert s.deriv(2.0) == pytest.approx(12.0)
     t = Tabulated(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 2.5]))
     assert t(0.5) == pytest.approx(1.5)
-    assert t.deriv(1.5) == pytest.approx(0.5)
+    assert t(-1.0) == 1.0 and t(3.0) == 2.5  # flat beyond the ends
+
+
+def test_tabulated_potentials_have_no_closed_form():
+    # a table may only be mu or lambda; a potential of one is refused, not
+    # integrated numerically
+    table = Tabulated([0.5, 3.0], [1.0, 2.0])
+    with pytest.raises(TypeError, match="no closed form"):
+        conductivity_potential(make_standard_law(kappa=table), 1.0)
+    with pytest.raises(TypeError, match="no closed form"):
+        thermal_pressure_potential(make_standard_law(p_th=table), 2.0)
 
 
 def test_property_random_power_laws_validate():
