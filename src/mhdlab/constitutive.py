@@ -222,9 +222,11 @@ def make_standard_law(
 
     p_e = pe0 rho^gamma and c_v = cv0 always; the defaults of the others are
     p_th = pth0 rho^(gamma/3), mu = mu0, lambda = lam0 and kappa = kappa0
-    (1 + theta^alpha).  Bound constants carry a 1e-9 relative margin; the
-    viscosity bounds are the range of the mu and lambda pieces passed, the
-    rest are the envelope of the declared family.
+    (1 + theta^alpha).  Bound constants carry a 1e-9 relative margin.  The
+    viscosity bounds are the range of the mu and lambda pieces passed; a3
+    is the coefficient of a power p_th, and the kappa bounds are min and max
+    of a and b for kappa = a + b theta^alpha.  Any other shape gets the
+    envelope of the declared family.
     """
     p_th = p_th if p_th is not None else Power(pth0, gamma / 3.0)
     mu = mu if mu is not None else Const(mu0)
@@ -233,12 +235,26 @@ def make_standard_law(
 
     slack = 1e-9
     mu_min, mu_max = _value_range(mu)
+    # p_th = c rho^e is bounded by c (1 + rho^(gamma/3)) for 0 <= e <= gamma/3
+    a3 = p_th.coef if isinstance(p_th, Power) else pth0
+    # kappa = a + b theta^alpha lies between min(a, b) and max(a, b) times
+    # (1 + theta^alpha)
+    kappa_lo = kappa_hi = kappa0
+    if (
+        isinstance(kappa, Sum)
+        and len(kappa.terms) == 2
+        and isinstance(kappa.terms[0], Const)
+        and isinstance(kappa.terms[1], Power)
+        and kappa.terms[1].expo == alpha
+    ):
+        a, b = kappa.terms[0].c, kappa.terms[1].coef
+        kappa_lo, kappa_hi = min(a, b), max(a, b)
     bounds = HypothesisBounds(
         a1=pe0 * gamma * (1.0 - slack),
         a2=pe0 * (1.0 + slack),
-        a3=pth0 * (1.0 + slack),
-        kappa_lo=kappa0 * (1.0 - slack),
-        kappa_hi=kappa0 * (1.0 + slack),
+        a3=a3 * (1.0 + slack),
+        kappa_lo=kappa_lo * (1.0 - slack),
+        kappa_hi=kappa_hi * (1.0 + slack),
         mu_lo=mu_min * (1.0 - slack),
         mu_hi=mu_max * (1.0 + slack),
         lam_hi=max(_value_range(lam)[1], 0.0) * (1.0 + slack),

@@ -1,15 +1,18 @@
-"""Manufactured 1D solutions with symbolically derived sources.
+"""Manufactured 1D solutions with closed-form sources.
 
 A fixed family of smooth profiles on [0, pi] (density and temperature with
 flat-ended cosines, velocity and transverse field from sine modes, zero
 longitudinal field so the solenoidal constraint holds identically) is pushed
-through the regularized equations with sympy.  Whatever tendency the exact
-fields fail to satisfy becomes a source term, handed to the stepper through
-its per-block source hook.  Comparing computed and exact fields then turns
-the solver into its own convergence experiment.
+through the regularized equations.  Each profile is a constant plus
+amplitude * X(x) * T(t), so every derivative the equations need has a short
+closed form, and the sources are built from those by the product and chain
+rules in numpy; the tests check them against a sympy derivation.  Whatever
+tendency the exact fields fail to satisfy becomes a source term, handed to
+the stepper through its per-block source hook.  Comparing computed and exact
+fields then turns the solver into its own convergence experiment.
 
-The symbolic mirror covers the standard power-family closure only; laws
-with other coefficient shapes are rejected up front.
+The closed form covers the standard power-family closure only; laws with
+other coefficient shapes are rejected up front.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def _family_scalars(law: ConstitutiveLaw) -> dict:
 
 @dataclass
 class ManufacturedCase:
-    """Lambdified exact fields, conserved-variable rates and sources.
+    """Closed-form exact fields, conserved-variable rates and sources.
 
     fields and rates map a name to a function of (x, t); sources is one
     function of (x, t) that returns the eight sources in SOURCE_KEYS order.
@@ -143,111 +146,151 @@ class ManufacturedCase:
         return sources
 
 
-def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> ManufacturedCase:
-    import sympy as sp
+# each profile is offset + amplitude * X(x) * T(t)
+_PROFILES = {
+    "rho": (1.0, 0.3, "cos x", "cos t"),
+    "u1": (0.0, 0.25, "sin x", "cos t"),
+    "u2": (0.0, 0.15, "sin 2x", "cos t"),
+    "u3": (0.0, 0.1, "sin x", "sin t"),
+    "theta": (0.8, 0.2, "cos x", "cos t"),
+    "H2": (0.0, 0.3, "sin x", "cos t"),
+    "H3": (0.0, 0.2, "sin 2x", "cos t"),
+}
+# X, X' and X'' of each spatial mode, as (factor, trig array key)
+_X_MODES = {
+    "sin x": ((1.0, "sin x"), (1.0, "cos x"), (-1.0, "sin x")),
+    "cos x": ((1.0, "cos x"), (-1.0, "sin x"), (-1.0, "cos x")),
+    "sin 2x": ((1.0, "sin 2x"), (2.0, "cos 2x"), (-4.0, "sin 2x")),
+}
 
-    c = _family_scalars(law)
-    x, t = sp.symbols("x t", real=True)
 
-    rho = 1 + sp.Rational(3, 10) * sp.cos(x) * sp.cos(t)
-    u1 = sp.Rational(1, 4) * sp.sin(x) * sp.cos(t)
-    u2 = sp.Rational(3, 20) * sp.sin(2 * x) * sp.cos(t)
-    u3 = sp.Rational(1, 10) * sp.sin(x) * sp.sin(t)
-    theta = sp.Rational(4, 5) + sp.Rational(1, 5) * sp.cos(x) * sp.cos(t)
-    H1 = sp.Integer(0)
-    H2 = sp.Rational(3, 10) * sp.sin(x) * sp.cos(t)
-    H3 = sp.Rational(1, 5) * sp.sin(2 * x) * sp.cos(t)
+def _jets(x, t: float) -> dict:
+    """name -> (f, f_x, f_xx, f_t) of every profile at (x, t).
 
-    eps, delta, beta = params.epsilon, params.delta, params.beta
-    gamma, alpha = c["gamma"], c["alpha"]
-    mu0, lam0, nu = c["mu0"], c["lam0"], c["nu"]
-
-    p = (
-        c["pe0"] * rho**gamma
-        + theta * c["pth0"] * rho ** (gamma / 3.0)
-        + delta * rho**beta
-    )
-    K = c["kappa0"] * (theta + theta ** (alpha + 1.0) / (alpha + 1.0))
-    w = (rho + delta) * c["cv0"] * theta
-
-    mass_rhs = -(rho * u1).diff(x) + eps * rho.diff(x, 2)
-
-    visc = {
-        1: (2 * mu0 + lam0) * u1.diff(x, 2),
-        2: mu0 * u2.diff(x, 2),
-        3: mu0 * u3.diff(x, 2),
+    The scalar factors are folded before an array is touched, so each
+    value or derivative costs one array multiply.
+    """
+    trig = {
+        "sin x": np.sin(x),
+        "cos x": np.cos(x),
+        "sin 2x": np.sin(2.0 * x),
+        "cos 2x": np.cos(2.0 * x),
     }
-    lorentz = {1: -(H2 * H2.diff(x) + H3 * H3.diff(x)), 2: sp.Integer(0), 3: sp.Integer(0)}
-    grad_p = {1: p.diff(x), 2: sp.Integer(0), 3: sp.Integer(0)}
-    mom_rhs = {}
-    for i, ui in ((1, u1), (2, u2), (3, u3)):
-        mom_rhs[i] = (
-            -(rho * ui * u1).diff(x)
-            - grad_p[i]
-            - eps * ui.diff(x) * rho.diff(x)
-            + lorentz[i]
-            + visc[i]
+    ct, st = math.cos(t), math.sin(t)
+    # T and T' of each temporal mode
+    time_modes = {"cos t": (ct, -st), "sin t": (st, ct)}
+    out = {}
+    for name, (offset, amp, xmode, tmode) in _PROFILES.items():
+        T, T_t = time_modes[tmode]
+        (k0, b0), (k1, b1), (k2, b2) = _X_MODES[xmode]
+        f = (amp * T * k0) * trig[b0]
+        if offset:
+            f += offset
+        out[name] = (
+            f,
+            (amp * T * k1) * trig[b1],
+            (amp * T * k2) * trig[b2],
+            (amp * T_t * k0) * trig[b0],
+        )
+    return out
+
+
+def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> ManufacturedCase:
+    c = _family_scalars(law)
+    eps, delta, beta = params.epsilon, params.delta, params.beta
+    gamma, alpha, nu = c["gamma"], c["alpha"], c["nu"]
+    mu0, cv0, kappa0, pth0 = c["mu0"], c["cv0"], c["kappa0"], c["pth0"]
+    mu_long = 2.0 * mu0 + c["lam0"]
+    g3 = gamma / 3.0
+
+    def rates(x, t):
+        j = _jets(x, t)
+        rho, _, _, rho_t = j["rho"]
+        theta, _, _, theta_t = j["theta"]
+        out = {"rho": rho_t, "w": cv0 * (rho_t * theta + (rho + delta) * theta_t)}
+        for i in ("1", "2", "3"):
+            ui, _, _, ui_t = j["u" + i]
+            out["m" + i] = rho_t * ui + rho * ui_t
+        out["H1"] = 0.0
+        out["H2"], out["H3"] = j["H2"][3], j["H3"][3]
+        return out
+
+    def sources(x, t):
+        j = _jets(x, t)
+        rho, rho_x, rho_xx, rho_t = j["rho"]
+        u1, u1_x, u1_xx, _ = j["u1"]
+        theta, theta_x, theta_xx, theta_t = j["theta"]
+        H2, H2_x, H2_xx, H2_t = j["H2"]
+        H3, H3_x, H3_xx, H3_t = j["H3"]
+
+        # mass: rho_t + (rho u1)_x - eps rho_xx
+        flux = rho * u1
+        flux_x = rho_x * u1 + rho * u1_x
+        s_rho = rho_t + flux_x - eps * rho_xx
+
+        # momentum: (rho u_i)_t + (rho u_i u1)_x + eps u_i,x rho_x - viscous,
+        # plus p_x minus the Lorentz force on the first component
+        rho_g = rho**gamma
+        p_th = pth0 * rho**g3
+        q = rho_x / rho
+        p_x = (
+            q * (c["pe0"] * gamma * rho_g + delta * beta * rho**beta)
+            + p_th * (theta_x + g3 * theta * q)
+        )
+        lorentz = -(H2 * H2_x + H3 * H3_x)
+        s_m = []
+        for i, visc in (("1", mu_long), ("2", mu0), ("3", mu0)):
+            ui, ui_x, ui_xx, ui_t = j["u" + i]
+            s = (
+                rho_t * ui
+                + rho * ui_t
+                + flux_x * ui
+                + flux * ui_x
+                + eps * ui_x * rho_x
+                - visc * ui_xx
+            )
+            if i == "1":
+                s += p_x - lorentz
+            s_m.append(s)
+
+        # thermal: w_t + (rho c_v theta u1)_x - K_xx + delta theta^(alpha+1)
+        # - (1 - delta) heating + p_th theta u1_x
+        theta_a = theta**alpha
+        K_xx = kappa0 * ((1.0 + theta_a) * theta_xx + alpha * (theta_a / theta) * theta_x**2)
+        heating = (
+            nu * (H2_x**2 + H3_x**2)
+            + mu_long * u1_x**2
+            + mu0 * (j["u2"][1] ** 2 + j["u3"][1] ** 2)
+        )
+        s_w = (
+            cv0 * (rho_t * theta + (rho + delta) * theta_t + flux_x * theta + flux * theta_x)
+            - K_xx
+            + delta * theta_a * theta
+            - (1.0 - delta) * heating
+            + p_th * theta * u1_x
         )
 
-    heating = (
-        nu * (H2.diff(x) ** 2 + H3.diff(x) ** 2)
-        + (2 * mu0 + lam0) * u1.diff(x) ** 2
-        + mu0 * (u2.diff(x) ** 2 + u3.diff(x) ** 2)
-    )
-    thermal_rhs = (
-        -(rho * c["cv0"] * theta * u1).diff(x)
-        + K.diff(x, 2)
-        - delta * theta ** (alpha + 1.0)
-        + (1.0 - delta) * heating
-        - theta * c["pth0"] * rho ** (gamma / 3.0) * u1.diff(x)
-    )
+        # magnetic: H_t + (u1 H)_x - nu H_xx, the longitudinal field stays 0
+        s_H = [
+            H_t + u1_x * H + u1 * H_x - nu * H_xx
+            for H, H_x, H_xx, H_t in ((H2, H2_x, H2_xx, H2_t), (H3, H3_x, H3_xx, H3_t))
+        ]
+        return [s_rho, *s_m, s_w, 0.0, *s_H]
 
-    mag_rhs = {
-        1: sp.Integer(0),
-        2: -(u1 * H2).diff(x) + nu * H2.diff(x, 2),
-        3: -(u1 * H3).diff(x) + nu * H3.diff(x, 2),
-    }
+    def field(name):
+        if name == "H1":
+            return lambda x, t: 0.0
+        return lambda x, t: _jets(x, t)[name][0]
 
-    exprs_fields = {
-        "rho": rho,
-        "theta": theta,
-        "u1": u1,
-        "u2": u2,
-        "u3": u3,
-        "H1": H1,
-        "H2": H2,
-        "H3": H3,
-    }
-    exprs_rates = {
-        "rho": rho.diff(t),
-        "w": w.diff(t),
-        "m1": (rho * u1).diff(t),
-        "m2": (rho * u2).diff(t),
-        "m3": (rho * u3).diff(t),
-        "H1": H1.diff(t),
-        "H2": H2.diff(t),
-        "H3": H3.diff(t),
-    }
-    exprs_sources = {
-        "rho": rho.diff(t) - mass_rhs,
-        "w": w.diff(t) - thermal_rhs,
-        "m1": (rho * u1).diff(t) - mom_rhs[1],
-        "m2": (rho * u2).diff(t) - mom_rhs[2],
-        "m3": (rho * u3).diff(t) - mom_rhs[3],
-        "H1": sp.Integer(0),
-        "H2": H2.diff(t) - mag_rhs[2],
-        "H3": H3.diff(t) - mag_rhs[3],
-    }
+    def rate(name):
+        return lambda x, t: rates(x, t)[name]
 
-    lam = lambda d: {k: sp.lambdify((x, t), v, modules="numpy") for k, v in d.items()}
     return ManufacturedCase(
         law=law,
         params=params,
-        fields=lam(exprs_fields),
-        rates=lam(exprs_rates),
-        sources=sp.lambdify(
-            (x, t), [exprs_sources[k] for k in SOURCE_KEYS], modules="numpy", cse=True
-        ),
+        fields={k: field(k) for k in ("rho", "theta", "u1", "u2", "u3", "H1", "H2", "H3")},
+        rates={k: rate(k) for k in ("rho", "w", "m1", "m2", "m3", "H1", "H2", "H3")},
+        sources=sources,
     )
 
 

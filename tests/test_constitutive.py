@@ -238,6 +238,41 @@ def test_negative_shear_bulk_viscosity_rejected():
     assert any("lambda" in f for f in rep.failures)
 
 
+def test_conductivity_bounds_follow_the_kappa_passed():
+    # kappa = 0.3 + 0.3 theta^3 lies below the default envelope kappa0 = 1;
+    # its bounds are min and max of the two coefficients
+    law = make_standard_law(kappa=Sum(Const(0.3), Power(0.3, 3.0)))
+    assert (law.bounds.kappa_lo, law.bounds.kappa_hi) == (
+        0.3 * (1.0 - 1e-9),
+        0.3 * (1.0 + 1e-9),
+    )
+    rep = validate_hypotheses(law)
+    assert rep.ok, rep.failures
+    law = make_standard_law(kappa=Sum(Const(0.3), Power(2.0, 3.0)))
+    assert (law.bounds.kappa_lo, law.bounds.kappa_hi) == (
+        0.3 * (1.0 - 1e-9),
+        2.0 * (1.0 + 1e-9),
+    )
+    rep = validate_hypotheses(law)
+    assert rep.ok, rep.failures
+
+
+def test_thermal_pressure_bound_follows_the_p_th_passed():
+    law = make_standard_law(p_th=Power(2.0, 5.0 / 9.0))
+    assert law.bounds.a3 == 2.0 * (1.0 + 1e-9)
+    rep = validate_hypotheses(law)
+    assert rep.ok, rep.failures
+
+
+def test_default_conductivity_and_pressure_bounds_unchanged():
+    b = make_standard_law(pth0=0.7, kappa0=0.1).bounds
+    assert (b.a3, b.kappa_lo, b.kappa_hi) == (
+        0.7 * (1.0 + 1e-9),
+        0.1 * (1.0 - 1e-9),
+        0.1 * (1.0 + 1e-9),
+    )
+
+
 def test_tabulated_viscosity_bounds_are_the_table_range():
     # mu from 0.5 to 5 and lambda from 0 to 2 over theta: the bounds are the
     # table extremes with the 1e-9 margin, so the law validates

@@ -1,11 +1,12 @@
 """Manufactured-solution tests.
 
-The load-bearing oracle is source consistency: plugging the exact fields
-into the discrete tendency plus the symbolic sources must reproduce the
-analytic time derivative of the conserved variables up to the second-order
-stencil truncation, and that defect must shrink by ~4x when the grid is
-halved.  It validates the symbolic algebra and the solver tendencies against
-each other.
+Two oracles hold the closed-form sources.  A symbolic derivation of the same
+profiles with sympy (test-only) must agree with the closed-form fields, rates
+and sources to rounding.  Source consistency then ties them to the solver:
+plugging the exact fields into the discrete tendency plus the sources must
+reproduce the analytic time derivative of the conserved variables up to the
+second-order stencil truncation, and that defect must shrink by ~4x when the
+grid is halved.
 """
 
 import subprocess
@@ -15,18 +16,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhdlab.constitutive import Const, Sum, Power, make_standard_law
+from mhdlab.constitutive import Const, Sum, Power, make_standard_law, validate_hypotheses
 from mhdlab.errors import ConfigError
 from mhdlab.grid import Grid
 from mhdlab.mms import (
+    SOURCE_KEYS,
     make_manufactured_case,
     spatial_convergence_study,
     temporal_convergence_study,
 )
 from mhdlab.solver import SchemeParams, rhs, run
 
-LAW = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
+LAW_KW = dict(nu=0.1, mu0=0.1, kappa0=0.1)
+LAW = make_standard_law(**LAW_KW)
 PARAMS = SchemeParams(epsilon=0.05, delta=0.1)
+# an admissible law in which every scalar differs from LAW and PARAMS
+OTHER_KW = dict(
+    gamma=2.2, alpha=2.5, nu=0.3, pe0=0.7, pth0=1.3, mu0=0.05, lam0=0.2, kappa0=0.4, cv0=1.5
+)
+OTHER_PARAMS = SchemeParams(epsilon=0.02, delta=0.2, beta=5.0)
 
 BLOCKS = ("rho", "u", "theta", "H")
 
@@ -38,6 +46,122 @@ def _grid(cells):
 @pytest.fixture(scope="module")
 def case():
     return make_manufactured_case(LAW, PARAMS)
+
+
+def _symbolic_case(kw, params):
+    """The manufactured case derived with sympy: name -> f(x, t) per block."""
+    import sympy as sp
+
+    # the defaults of make_standard_law, overridden by kw
+    c = dict(
+        gamma=5.0 / 3.0, alpha=3.0, nu=1.0, pe0=1.0, pth0=1.0, mu0=1.0, lam0=0.0, kappa0=1.0, cv0=1.0
+    )
+    c.update(kw)
+    x, t = sp.symbols("x t", real=True)
+
+    rho = 1 + sp.Rational(3, 10) * sp.cos(x) * sp.cos(t)
+    u1 = sp.Rational(1, 4) * sp.sin(x) * sp.cos(t)
+    u2 = sp.Rational(3, 20) * sp.sin(2 * x) * sp.cos(t)
+    u3 = sp.Rational(1, 10) * sp.sin(x) * sp.sin(t)
+    theta = sp.Rational(4, 5) + sp.Rational(1, 5) * sp.cos(x) * sp.cos(t)
+    H1 = sp.Integer(0)
+    H2 = sp.Rational(3, 10) * sp.sin(x) * sp.cos(t)
+    H3 = sp.Rational(1, 5) * sp.sin(2 * x) * sp.cos(t)
+
+    eps, delta, beta = params.epsilon, params.delta, params.beta
+    gamma, alpha = c["gamma"], c["alpha"]
+    mu0, lam0, nu = c["mu0"], c["lam0"], c["nu"]
+
+    p = (
+        c["pe0"] * rho**gamma
+        + theta * c["pth0"] * rho ** (gamma / 3.0)
+        + delta * rho**beta
+    )
+    K = c["kappa0"] * (theta + theta ** (alpha + 1.0) / (alpha + 1.0))
+    w = (rho + delta) * c["cv0"] * theta
+
+    mass_rhs = -(rho * u1).diff(x) + eps * rho.diff(x, 2)
+    visc = {
+        1: (2 * mu0 + lam0) * u1.diff(x, 2),
+        2: mu0 * u2.diff(x, 2),
+        3: mu0 * u3.diff(x, 2),
+    }
+    lorentz = {1: -(H2 * H2.diff(x) + H3 * H3.diff(x)), 2: 0, 3: 0}
+    grad_p = {1: p.diff(x), 2: 0, 3: 0}
+    mom_rhs = {
+        i: -(rho * ui * u1).diff(x)
+        - grad_p[i]
+        - eps * ui.diff(x) * rho.diff(x)
+        + lorentz[i]
+        + visc[i]
+        for i, ui in ((1, u1), (2, u2), (3, u3))
+    }
+    heating = (
+        nu * (H2.diff(x) ** 2 + H3.diff(x) ** 2)
+        + (2 * mu0 + lam0) * u1.diff(x) ** 2
+        + mu0 * (u2.diff(x) ** 2 + u3.diff(x) ** 2)
+    )
+    thermal_rhs = (
+        -(rho * c["cv0"] * theta * u1).diff(x)
+        + K.diff(x, 2)
+        - delta * theta ** (alpha + 1.0)
+        + (1.0 - delta) * heating
+        - theta * c["pth0"] * rho ** (gamma / 3.0) * u1.diff(x)
+    )
+    mag_rhs = {
+        2: -(u1 * H2).diff(x) + nu * H2.diff(x, 2),
+        3: -(u1 * H3).diff(x) + nu * H3.diff(x, 2),
+    }
+
+    fields = dict(rho=rho, theta=theta, u1=u1, u2=u2, u3=u3, H1=H1, H2=H2, H3=H3)
+    rates = {
+        "rho": rho.diff(t),
+        "w": w.diff(t),
+        "m1": (rho * u1).diff(t),
+        "m2": (rho * u2).diff(t),
+        "m3": (rho * u3).diff(t),
+        "H1": H1.diff(t),
+        "H2": H2.diff(t),
+        "H3": H3.diff(t),
+    }
+    sources = {
+        "rho": rates["rho"] - mass_rhs,
+        "m1": rates["m1"] - mom_rhs[1],
+        "m2": rates["m2"] - mom_rhs[2],
+        "m3": rates["m3"] - mom_rhs[3],
+        "w": rates["w"] - thermal_rhs,
+        "H1": sp.Integer(0),
+        "H2": rates["H2"] - mag_rhs[2],
+        "H3": rates["H3"] - mag_rhs[3],
+    }
+    lam = lambda d: {k: sp.lambdify((x, t), v, modules="numpy") for k, v in d.items()}
+    return lam(fields), lam(rates), lam(sources)
+
+
+@pytest.mark.parametrize(
+    "kw, params", [(LAW_KW, PARAMS), (OTHER_KW, OTHER_PARAMS)], ids=["default", "other"]
+)
+def test_closed_form_matches_symbolic_derivation(kw, params):
+    law = make_standard_law(**kw)
+    assert validate_hypotheses(law).ok
+    case = make_manufactured_case(law, params)
+    fields, rates, sources = _symbolic_case(kw, params)
+    xs = _grid(256).mesh()[0]
+
+    def values(fn, t):
+        return np.broadcast_to(np.asarray(fn(xs, t), dtype=float), xs.shape)
+
+    for t in (0.0, 0.37, 1.25):
+        got = dict(zip(SOURCE_KEYS, case.sources(xs, t), strict=True))
+        pairs = [(case.fields[k], fields[k], f"field {k}") for k in fields]
+        pairs += [(case.rates[k], rates[k], f"rate {k}") for k in rates]
+        pairs += [(lambda x, t, k=k: got[k], sources[k], f"source {k}") for k in sources]
+        assert len(pairs) == 24
+        for closed, symbolic, what in pairs:
+            want = values(symbolic, t)
+            scale = float(np.max(np.abs(want)))
+            err = float(np.max(np.abs(values(closed, t) - want)))
+            assert err <= 1e-13 * scale, (what, t, err, scale)
 
 
 def test_exact_state_is_admissible(case):
@@ -144,6 +268,16 @@ def test_source_arrays_match_broadcast_reference(case):
             assert got.tobytes() == ref.tobytes()
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    code = "import sys, mhdlab.cli; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def test_cli_import_leaves_sympy_unloaded(tmp_path):
+    # sympy is a test-only oracle; `mhdlab mms` derives its sources in closed form
+    code = (
+        "import sys; from mhdlab.cli import main\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
+        "assert not loaded(), loaded()\n"
+        "assert main(['mms', '--quick', '--out', sys.argv[1]]) == 0\n"
+        "assert not loaded(), loaded()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
