@@ -434,6 +434,18 @@ def _cumulative_simpson(y, x):
 _TABLE_CHUNK = 8192
 
 
+def _uniform_interval(nodes, x):
+    """clip(searchsorted(nodes, x, side="right") - 1, 0, n - 2) for the n
+    uniform nodes np.linspace(0, top, n), in O(1) per query: x (n-1)/top is
+    off by at most one node next to a node, which one step each way mends.
+    """
+    n = nodes.size
+    k = np.clip((x * ((n - 1) / nodes[-1])).astype(np.intp), 0, n - 2)
+    k -= (nodes[k] > x) & (k > 0)
+    k += (nodes[k + 1] <= x) & (k < n - 2)
+    return k
+
+
 def _cumulative_weighted(fn, queries, n=32769):
     """int_0^q fn(s) ds for each query, read from a dense cumulative Simpson
     table with the cubic Hermite interpolant whose node slopes are fn.
@@ -454,7 +466,7 @@ def _cumulative_weighted(fn, queries, n=32769):
     flat_q, flat_out = q.reshape(-1), out.reshape(-1)
     for start in range(0, flat_q.size, _TABLE_CHUNK):
         x = flat_q[start : start + _TABLE_CHUNK]
-        k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, n - 2)
+        k = _uniform_interval(grid, x)
         h = grid[k + 1] - grid[k]
         s = np.clip((x - grid[k]) / h, 0.0, 1.0)
         r = 1.0 - s

@@ -23,6 +23,7 @@ restored (pure discretization error, checked in absolute value).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .constitutive import (
     renormalized_conductivity_potential,
     renormalized_heat_content,
 )
-from .fieldops import EVEN, ODD, dissipation, gradient, table_curl, vector_gradient
+from .fieldops import dissipation, gradient, table_curl, vector_gradient
 from .grid import Grid
 from .solver import IncidentLog, SchemeParams, State
 
@@ -133,30 +134,39 @@ def total_energy(grid: Grid, law: ConstitutiveLaw, state: State):
     return kinetic + magnetic + elastic + thermal, kinetic, magnetic, elastic, thermal
 
 
-def _h1_norm(grid: Grid, f: np.ndarray, parity: int) -> float:
+def _h1_norm(grid: Grid, f: np.ndarray, grad: np.ndarray) -> float:
+    """H1 norm of a scalar or vector field f from its gradient table."""
     comps = f.reshape((-1,) + grid.shape)
     sq = 0.0
-    for c, grad_c in zip(comps, vector_gradient(grid, comps, parity)):
+    for c, grad_c in zip(comps, grad.reshape((len(comps), 3) + grid.shape)):
         sq += np.sum(grid.quad_weights * c * c)
         for a in grid.active_axes:
             sq += np.sum(grid.quad_weights * grad_c[a] * grad_c[a])
     return float(np.sqrt(sq))
 
 
-def apriori_norms(grid: Grid, law: ConstitutiveLaw, state: State) -> dict:
-    """The norm family tracked by the estimate ledger."""
+def _apriori_norms(grid: Grid, law: ConstitutiveLaw, state: State, du, dH) -> dict:
     rho, u, theta, H = state.rho, state.u, state.theta, state.H
     gamma, alpha = law.gamma, law.alpha
     mom = np.sqrt(np.sum((rho * u) ** 2, axis=0))
+    log_theta = np.log1p(theta)
+    theta_ahalf = np.power(theta, 0.5 * alpha)
     return {
         "rho_lgamma": grid.norm_lp(rho, gamma),
         "momentum_l2g": grid.norm_lp(mom, 2.0 * gamma / (gamma + 1.0)),
-        "u_h1": _h1_norm(grid, u, ODD),
-        "H_h1": _h1_norm(grid, H, ODD),
-        "log_theta_h1": _h1_norm(grid, np.log1p(theta), EVEN),
-        "theta_ahalf_h1": _h1_norm(grid, np.power(theta, 0.5 * alpha), EVEN),
+        "u_h1": _h1_norm(grid, u, du),
+        "H_h1": _h1_norm(grid, H, dH),
+        "log_theta_h1": _h1_norm(grid, log_theta, gradient(grid, log_theta)),
+        "theta_ahalf_h1": _h1_norm(grid, theta_ahalf, gradient(grid, theta_ahalf)),
         "theta_lalpha1": grid.norm_lp(theta, alpha + 1.0),
     }
+
+
+def apriori_norms(grid: Grid, law: ConstitutiveLaw, state: State) -> dict:
+    """The norm family tracked by the estimate ledger."""
+    du = vector_gradient(grid, state.u)
+    dH = vector_gradient(grid, state.H)
+    return _apriori_norms(grid, law, state, du, dH)
 
 
 def record(
@@ -170,14 +180,14 @@ def record(
     delta, beta, eps = params.delta, params.beta, params.epsilon
 
     total, kinetic, magnetic, elastic, thermal = total_energy(grid, law, state)
-    norms = apriori_norms(grid, law, state)
+    du = vector_gradient(grid, u)
+    dH = vector_gradient(grid, H)
+    norms = _apriori_norms(grid, law, state, du, dH)
 
     p_phys = pressure(law, rho, theta)
     log_rho = np.log1p(rho)
     rho_beta = np.power(rho, beta)
 
-    du = vector_gradient(grid, u)
-    dH = vector_gradient(grid, H)
     diss = dissipation(law, du, theta)
     visc = grid.integrate(diss)
     curl_H = table_curl(dH)
@@ -435,7 +445,7 @@ def _quintic_bump_d2(s: np.ndarray) -> np.ndarray:
 def _quintic_bump_at(s: float) -> tuple[float, float]:
     """_quintic_bump and _quintic_bump_d1 at one point, in plain floats.
 
-    The time profile is evaluated four times per (state, phi) pair; numpy's
+    The time profile is evaluated twice per (member, record time); numpy's
     0-d path costs about ten times as much per call.  The arithmetic is the
     same, so are the bits.
     """
@@ -451,9 +461,13 @@ def _quintic_bump_at(s: float) -> tuple[float, float]:
 class SpaceTimeTestFunction:
     """Separable phi(x,t) = r(t) * S(x) with analytic derivatives.
 
-    S is a tensor product of quintic bumps (or identically one), so S, its
-    gradient and Laplacian are exact arrays; r is a scalar profile with
-    analytic derivative and r(T) = 0.
+    The contract thermal_weak_residual reads from any bank member: a unique
+    ``name``; the grid arrays ``S``, ``gradS`` (shape (3,) + grid.shape,
+    zero along suppressed axes) and ``lapS``; and the floats ``r(t)`` and
+    ``rprime(t)``.  Members whose three arrays are the same objects are
+    paired with the fields once.  Here S is a tensor product of quintic
+    bumps (or identically one), so S, its gradient and Laplacian are exact
+    arrays, and r is a scalar profile with analytic derivative and r(T) = 0.
     """
 
     def __init__(self, name, grid: Grid, T: float, center=None, width=None, profile="rampdown"):
@@ -499,29 +513,25 @@ class SpaceTimeTestFunction:
                 + outer3(parts[0], parts[1], d2parts[2])
             )
 
-    def _r(self, t: float) -> float:
+    def with_profile(self, name, profile):
+        """A member with another time profile that shares (does not copy)
+        this member's S, gradS and lapS."""
+        twin = copy.copy(self)
+        twin.name = name
+        twin.profile = profile
+        return twin
+
+    def r(self, t: float) -> float:
         s = t / self.T
         if self.profile == "rampdown":
             return _quintic_bump_at(s)[0]
         return _quintic_bump_at((s - 0.4) / 0.35)[0]
 
-    def _rprime(self, t: float) -> float:
+    def rprime(self, t: float) -> float:
         s = t / self.T
         if self.profile == "rampdown":
             return _quintic_bump_at(s)[1] / self.T
         return _quintic_bump_at((s - 0.4) / 0.35)[1] / (0.35 * self.T)
-
-    def value(self, t):
-        return self._r(t) * self.S
-
-    def dt(self, t):
-        return self._rprime(t) * self.S
-
-    def grad(self, t):
-        return self._r(t) * self.gradS
-
-    def lap(self, t):
-        return self._r(t) * self.lapS
 
 
 _BANK_CENTERS = (
@@ -535,7 +545,6 @@ _BANK_CENTERS = (
     (1.0, 1.0, 0.5),  # corner-centered
 )
 _BANK_WIDTHS = (0.2, 0.35, 0.5)
-_BANK_PROFILES = ("rampdown", "interior")
 
 
 def make_test_bank(grid: Grid, T: float):
@@ -543,19 +552,20 @@ def make_test_bank(grid: Grid, T: float):
 
     Bumps are allowed to overlap the walls.  The radial profile decreases
     outward, so any wall flux the diffusion pairing drops has the sign that
-    raises the residual; one-sidedness of the check is preserved.
+    raises the residual; one-sidedness of the check is preserved.  The
+    spatial part of each (center, width) bump and the uniform part are built
+    once: the rampdown and interior members of a part hold the same arrays.
     """
     bank = []
+
+    def add(prefix, **where):
+        phi = SpaceTimeTestFunction(f"{prefix}-rampdown", grid, T, **where)
+        bank.extend([phi, phi.with_profile(f"{prefix}-interior", "interior")])
+
     for ci, c in enumerate(_BANK_CENTERS):
         for w in _BANK_WIDTHS:
-            for p in _BANK_PROFILES:
-                bank.append(
-                    SpaceTimeTestFunction(
-                        f"bump-c{ci}-w{w:g}-{p}", grid, T, center=c, width=w, profile=p
-                    )
-                )
-    for p in _BANK_PROFILES:
-        bank.append(SpaceTimeTestFunction(f"uniform-{p}", grid, T, profile=p))
+            add(f"bump-c{ci}-w{w:g}", center=c, width=w)
+    add("uniform")
     return bank
 
 
@@ -569,12 +579,55 @@ class WeakResidualReport:
         return dict(self.residuals)
 
 
-def _validate_test_function(phi, times) -> None:
-    for t in (times[0], 0.5 * (times[0] + times[-1]), times[-1]):
-        if float(np.min(phi.value(t))) < -1e-14:
+def _validate_bank(grid: Grid, bank, parts, part_of, r) -> None:
+    """phi = r(t) S >= 0 at every record time, phi = 0 at the final one, and
+    no part with a gradient along a suppressed axis (the pairing reads only
+    the active-axis rows of gradS).  r[j, k] is bank[j]'s profile at the
+    k-th record time and parts[part_of[j]] the first member holding its part.
+    """
+    suppressed = [a for a in range(3) if a not in grid.active_axes]
+    for p in parts:
+        if any(np.any(p.gradS[a] != 0.0) for a in suppressed):
+            raise ValueError(f"test function {p.name} has a gradient along a suppressed axis")
+    s_min = np.array([float(np.min(p.S)) for p in parts])[part_of]
+    s_max = np.array([float(np.max(p.S)) for p in parts])[part_of]
+    for phi, r_j, lo, hi in zip(bank, r, s_min, s_max):
+        if min(np.min(r_j * lo), np.min(r_j * hi)) < -1e-14:
             raise ValueError(f"test function {phi.name} takes negative values")
-    if float(np.max(np.abs(phi.value(times[-1])))) > 1e-14:
-        raise ValueError(f"test function {phi.name} must vanish at the final time")
+        if abs(r_j[-1]) * max(abs(lo), abs(hi)) > 1e-14:
+            raise ValueError(f"test function {phi.name} must vanish at the final time")
+
+
+def _tabulate_bank(grid: Grid, bank, times):
+    """A validated bank as tables: its names; part_of[j], the row of
+    bank[j]'s spatial part; r[j, k] and rp[j, k], its time profile and slope
+    at times[k]; and S_mat, G_mat (the active-axis rows of gradS, flattened)
+    and L_mat, one row per distinct part.  Parts are told apart by the
+    identity of their three arrays, in order of first use.
+    """
+    names = [phi.name for phi in bank]
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise ValueError(f"test function name {dup!r} occurs more than once")
+    row, parts, part_of = {}, [], []
+    for phi in bank:
+        key = (id(phi.S), id(phi.gradS), id(phi.lapS))
+        if key not in row:
+            row[key] = len(parts)
+            parts.append(phi)
+        part_of.append(row[key])
+    part_of = np.array(part_of)
+    r = np.array([[phi.r(t) for t in times] for phi in bank])
+    rp = np.array([[phi.rprime(t) for t in times] for phi in bank])
+    _validate_bank(grid, bank, parts, part_of, r)
+    # one row per part: a product with a row-major part matrix sums each
+    # pairing in the order of a dot product (gemv with the parts as columns
+    # sums them axpy-wise, with about eight times the rounding error)
+    active = list(grid.active_axes)
+    S_mat = np.stack([p.S.reshape(-1) for p in parts])
+    G_mat = np.stack([p.gradS[active].reshape(-1) for p in parts])
+    L_mat = np.stack([p.lapS.reshape(-1) for p in parts])
+    return names, part_of, r, rp, S_mat, G_mat, L_mat
 
 
 def thermal_weak_residual(
@@ -595,10 +648,16 @@ def thermal_weak_residual(
 
     Both sides are linear in phi, so the field work is done once per state:
     six integrands, folded with the quadrature weights, pair with phi_t,
-    grad phi, lap phi and phi (four on the left, two on the right).  Each
-    phi is then evaluated once per record time and enters through six dot
-    products.  K_h comes from one table built for the whole trajectory.
-    Test-function names must be unique; they key the report.
+    grad phi, lap phi and phi (four on the left, two on the right).  Every
+    member is separable, phi = r(t) S(x) (see SpaceTimeTestFunction), so
+    the pairing is three matrix products per state against the bank's
+    distinct spatial parts (members share a part when they hold the same
+    S, gradS and lapS objects): the three integrands that pair with phi or
+    phi_t against S, the two that pair with grad phi against the
+    active-axis rows of gradS, and w K_h against lapS.  Each member then
+    scales its part's products by r(t) or r'(t).  K_h comes from one table
+    built for the whole trajectory.  Test-function names must be unique;
+    they key the report.
     """
     if len(states) < 2:
         raise ValueError("need at least two recorded states")
@@ -607,14 +666,10 @@ def thermal_weak_residual(
     times = [s.t for s in states]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("state times must be strictly increasing")
-    if bank is None:
-        bank = make_test_bank(grid, times[-1])
-    names = [phi.name for phi in bank]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise ValueError(f"test function name {dup!r} occurs more than once")
-    for phi in bank:
-        _validate_test_function(phi, times)
+    # a bank built here is freed once it is tabulated
+    names, part_of, r, rp, S_mat, G_mat, L_mat = _tabulate_bank(
+        grid, make_test_bank(grid, times[-1]) if bank is None else bank, times
+    )
 
     delta, eps = params.delta, params.epsilon
     w = grid.quad_weights
@@ -622,9 +677,10 @@ def thermal_weak_residual(
         law, ren, np.stack([st.theta for st in states])
     )
 
-    # lhs_t[j, k], rhs_t[j, k]: the two sides for bank[j] at states[k]
-    lhs_t = np.empty((len(bank), len(states)))
-    rhs_t = np.empty((len(bank), len(states)))
+    # pairs[:, p, k]: the integrands of states[k] against the p-th part, in the
+    # order phi_t, sink, source (with S), flux, eps (with grad S), lap
+    active = list(grid.active_axes)
+    pairs = np.empty((6, len(S_mat), len(states)))
     for k, (st, k_h) in enumerate(zip(states, k_h_all)):
         rho, u, theta, H = st.rho, st.u, st.theta, st.H
         h_w = ren(theta)
@@ -657,28 +713,31 @@ def thermal_weak_residual(
         w_source = w * (source_w + eps * dg_dtheta * grad_rho_theta)
         w_eps = w * (eps * g * grad_rho)
 
-        t = st.t
-        for j, phi in enumerate(bank):
-            phi_v = phi.value(t)
-            phi_grad = phi.grad(t)
-            lhs_t[j, k] = (
-                np.vdot(w_phi_t, phi.dt(t))
-                + np.vdot(w_flux, phi_grad)
-                + np.vdot(w_lap, phi.lap(t))
-                + np.vdot(w_sink, phi_v)
-            )
-            rhs_t[j, k] = np.vdot(w_source, phi_v) + np.vdot(w_eps, phi_grad)
+        with_s = np.stack([w_phi_t.reshape(-1), w_sink.reshape(-1), w_source.reshape(-1)])
+        with_g = np.stack([w_flux[active].reshape(-1), w_eps[active].reshape(-1)])
+        pairs[0:3, :, k] = with_s @ S_mat.T
+        pairs[3:5, :, k] = with_g @ G_mat.T
+        pairs[5, :, k] = L_mat @ w_lap.reshape(-1)
 
-    # initial-data term of the right side
+    p_t, p_sink, p_source, p_flux, p_eps, p_lap = pairs[:, part_of]
+    # lhs_t[j, k], rhs_t[j, k]: the two sides for bank[j] at states[k]
+    lhs_t = rp * p_t + r * (p_flux + p_lap + p_sink)
+    rhs_t = r * (p_source + p_eps)
+
+    # initial-data term of the right side, r(t0) <w w_h0, S>.  It is not
+    # averaged over records as the other terms are, so each pairing takes
+    # numpy's pairwise sum: its dot-product error reached 4 ulps of a term
+    # that nearly cancels the two time integrals
     st0 = states[0]
-    w_h0 = (st0.rho + delta) * renormalized_heat_content(law, ren, st0.theta)
+    w_h0 = w * ((st0.rho + delta) * renormalized_heat_content(law, ren, st0.theta))
+    initial = r[:, 0] * np.array([np.sum(w_h0.reshape(-1) * S) for S in S_mat])[part_of]
 
     residuals = []
-    for phi, lhs_phi, rhs_phi in zip(bank, lhs_t, rhs_t):
+    for name, lhs_phi, rhs_phi, init in zip(names, lhs_t, rhs_t, initial):
         lhs = _trapz(lhs_phi, times)
         rhs = _trapz(rhs_phi, times)
-        rhs -= float(np.sum(w * w_h0 * phi.value(times[0])))
-        residuals.append((phi.name, float(rhs - lhs)))
+        rhs -= float(init)
+        residuals.append((name, float(rhs - lhs)))
     # the lowest residual; a tie (mirror-image members can agree to the last
     # bit) goes to the member that comes first in the bank
     worst_name, min_residual = residuals[

@@ -154,6 +154,52 @@ def test_renormalized_conductivity_potential_independent_of_table_range(law):
         )
 
 
+def _conductivity_potential_searchsorted(law, ren, theta, n=32769):
+    """K_h as read before the O(1) interval lookup: the interval of each
+    query found by binary search in the uniform table."""
+    from mhdlab.constitutive import _cumulative_simpson
+
+    fn = lambda s: law.kappa(s) * ren(s)  # noqa: E731
+    x = np.asarray(theta, dtype=float)
+    grid = np.linspace(0.0, float(np.max(x)), n)
+    vals = fn(grid)
+    table = _cumulative_simpson(vals, grid)
+    k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, n - 2)
+    h = grid[k + 1] - grid[k]
+    s = np.clip((x - grid[k]) / h, 0.0, 1.0)
+    r = 1.0 - s
+    y = (1.0 + 2.0 * s) * r * r * table[k] + s * s * (3.0 - 2.0 * s) * table[k + 1]
+    y += h * s * r * (r * vals[k] - s * vals[k + 1])
+    return y
+
+
+@pytest.mark.parametrize("top", [1.0, 2.7182818284590455, 13.37, 1234.5678])
+def test_conductivity_potential_lookup_matches_binary_search(law, top):
+    # every table node, both float neighbours of each node, 0, top and random
+    # points: the interval computed from x (n-1)/top is the binary search's
+    # (on a node the two neighbouring intervals give the same bytes, so the
+    # intervals are compared as well as K_h)
+    from mhdlab.constitutive import _uniform_interval
+
+    ren = Renormalizer(omega=0.5)
+    nodes = np.linspace(0.0, top, 32769)
+    rng = np.random.default_rng(23)
+    theta = np.concatenate(
+        [
+            nodes,
+            np.nextafter(nodes[1:], 0.0),
+            np.nextafter(nodes[:-1], np.inf),
+            [0.0, top],
+            top * rng.random(100_000),
+        ]
+    )
+    want_k = np.clip(np.searchsorted(nodes, theta, side="right") - 1, 0, nodes.size - 2)
+    assert np.array_equal(_uniform_interval(nodes, theta), want_k)
+    got = renormalized_conductivity_potential(law, ren, theta)
+    want = _conductivity_potential_searchsorted(law, ren, theta)
+    assert got.tobytes() == want.tobytes()
+
+
 def _simpson_tables():
     rng = np.random.default_rng(17)
     for n in (3, 4, 5, 8, 101, 32769):

@@ -13,6 +13,9 @@ Closed-form oracles used here:
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -346,27 +349,36 @@ def test_weak_residual_rest_state_uniform_phi(rest_run):
     assert abs(rep.min_residual) <= 1e-5
 
 
+class _Separable:
+    """A bank member built from its parts: phi = r(t) S(x)."""
+
+    def __init__(self, name, S, gradS, lapS, r, rprime):
+        self.name, self.S, self.gradS, self.lapS = name, S, gradS, lapS
+        self.r, self.rprime = r, rprime
+
+
 def _combo_bank(grid, T):
     """Two bumps, a linear combination of them and a spatially uniform phi."""
     p1 = SpaceTimeTestFunction("a", grid, T, center=(0.5, 0.5, 0.5), width=0.4)
     p2 = SpaceTimeTestFunction("b", grid, T, center=(0.3, 0.6, 0.5), width=0.3)
+    # both bumps have the rampdown profile, so their combination is S1 + 2 S2
+    # with that one profile
+    combo = _Separable(
+        "combo",
+        p1.S + 2.0 * p2.S,
+        p1.gradS + 2.0 * p2.gradS,
+        p1.lapS + 2.0 * p2.lapS,
+        p1.r,
+        p1.rprime,
+    )
+    return [p1, p2, combo, SpaceTimeTestFunction("uniform", grid, T)]
 
-    class Combo:
-        name = "combo"
 
-        def value(self, t):
-            return p1.value(t) + 2.0 * p2.value(t)
-
-        def dt(self, t):
-            return p1.dt(t) + 2.0 * p2.dt(t)
-
-        def grad(self, t):
-            return p1.grad(t) + 2.0 * p2.grad(t)
-
-        def lap(self, t):
-            return p1.lap(t) + 2.0 * p2.lap(t)
-
-    return [p1, p2, Combo(), SpaceTimeTestFunction("uniform", grid, T)]
+def _shared_part_bank(grid, T):
+    """Two members that hold the same spatial part, with another between."""
+    a = SpaceTimeTestFunction("a", grid, T, center=(0.5, 0.5, 0.5), width=0.4)
+    b = SpaceTimeTestFunction("b", grid, T, center=(0.3, 0.6, 0.5), width=0.3)
+    return [a, b, a.with_profile("a-interior", "interior")]
 
 
 def test_weak_residual_linear_in_phi(rest_run):
@@ -417,42 +429,33 @@ def test_weak_residual_rejects_ill_formed(rest_run):
     grid, _, res = rest_run
     T = res.record_times[-1]
     good = SpaceTimeTestFunction("g", grid, T, center=(0.5, 0.5, 0.5), width=0.3)
+    parts = (good.S, good.gradS, good.lapS)
+    negative = _Separable("neg", *parts, lambda t: -good.r(t), lambda t: -good.rprime(t))
+    flat = (np.ones(grid.shape), np.zeros((3,) + grid.shape), np.zeros(grid.shape))
+    nonzero_end = _Separable("tail", *flat, lambda t: 1.0, lambda t: 0.0)
 
-    class Negative:
-        name = "neg"
+    # r < 0 only on (0.6 T, 0.8 T): nonnegative at t0, at T/2 and at T, but
+    # negative at the record times in between
+    assert any(0.6 * T < t < 0.8 * T for t in res.record_times)
 
-        def value(self, t):
-            return -good.value(t)
+    def r_dip(t):
+        return -(1.0 - t / T) if 0.6 * T < t < 0.8 * T else 1.0 - t / T
 
-        def dt(self, t):
-            return -good.dt(t)
-
-        def grad(self, t):
-            return -good.grad(t)
-
-        def lap(self, t):
-            return -good.lap(t)
-
-    class NonzeroEnd:
-        name = "tail"
-
-        def value(self, t):
-            return np.ones(grid.shape)
-
-        def dt(self, t):
-            return np.zeros(grid.shape)
-
-        def grad(self, t):
-            return np.zeros((3,) + grid.shape)
-
-        def lap(self, t):
-            return np.zeros(grid.shape)
+    dipping = _Separable("dip", *parts, r_dip, lambda t: -1.0 / T)
+    # the pairing reads only the active-axis rows of gradS
+    tilted_grad = good.gradS.copy()
+    tilted_grad[2] = good.S
+    tilted = _Separable("tilt", good.S, tilted_grad, good.lapS, good.r, good.rprime)
 
     states = res.recorded_states
-    with pytest.raises(ValueError, match="negative"):
-        thermal_weak_residual(grid, LAW, PARAMS, states, bank=[Negative()])
-    with pytest.raises(ValueError, match="final time"):
-        thermal_weak_residual(grid, LAW, PARAMS, states, bank=[NonzeroEnd()])
+    for member, match in (
+        (negative, "neg takes negative values"),
+        (nonzero_end, "tail must vanish at the final time"),
+        (dipping, "dip takes negative values"),
+        (tilted, "tilt has a gradient along a suppressed axis"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            thermal_weak_residual(grid, LAW, PARAMS, states, bank=[member])
 
 
 def test_weak_residual_rejects_duplicate_names(rest_run):
@@ -505,14 +508,14 @@ def _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=Fals
         flux = rho * q_h * u
         for j, phi in enumerate(bank):
             t = st.t
-            phi_v = phi.value(t)
-            phi_grad = phi.grad(t)
+            phi_v = phi.r(t) * phi.S
+            phi_grad = phi.r(t) * phi.gradS
             lhs_int = (
-                w_h * phi.dt(t)
+                w_h * (phi.rprime(t) * phi.S)
                 + flux[0] * phi_grad[0]
                 + flux[1] * phi_grad[1]
                 + flux[2] * phi_grad[2]
-                + k_h * phi.lap(t)
+                + k_h * (phi.r(t) * phi.lapS)
                 - delta * h_w * np.power(theta, law.alpha + 1.0) * phi_v
             )
             eps_int = 0.0
@@ -535,7 +538,7 @@ def _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=Fals
             0.5 * (b - a) * (y0 + y1)
             for a, b, y0, y1 in zip(times, times[1:], rhs_t[j], rhs_t[j][1:])
         )
-        rhs -= float(np.sum(w * w_h0 * phi.value(times[0])))
+        rhs -= float(np.sum(w * w_h0 * (phi.r(times[0]) * phi.S)))
         out[phi.name] = rhs - lhs
     return out
 
@@ -558,7 +561,9 @@ def box_run():
     return grid, law, params, res
 
 
-@pytest.mark.parametrize("which", ["moving-2d", "box-3d", "combo-2d", "combo-rest"])
+@pytest.mark.parametrize(
+    "which", ["moving-2d", "box-3d", "combo-2d", "combo-rest", "shared-2d"]
+)
 def test_weak_residual_matches_reference_loop(which, request):
     if which == "combo-rest":
         grid, _, res = request.getfixturevalue("rest_run")
@@ -570,6 +575,8 @@ def test_weak_residual_matches_reference_loop(which, request):
     bank = None
     if which.startswith("combo"):
         bank = _combo_bank(grid, res.record_times[-1])
+    elif which == "shared-2d":
+        bank = _shared_part_bank(grid, res.record_times[-1])
     rep = thermal_weak_residual(grid, law, params, states, bank=bank)
     if bank is None:
         bank = make_test_bank(grid, res.record_times[-1])
@@ -620,12 +627,21 @@ def test_test_bank_is_admissible(rest_run):
     T = res.record_times[-1]
     bank = make_test_bank(grid, T)
     assert len(bank) == 50
+    # the rampdown and interior members of each of the 25 spatial parts hold
+    # the same arrays
+    for ramp, interior in zip(bank[::2], bank[1::2]):
+        assert ramp.name.endswith("-rampdown")
+        assert interior.name == ramp.name.replace("-rampdown", "-interior")
+        assert interior.S is ramp.S
+        assert interior.gradS is ramp.gradS
+        assert interior.lapS is ramp.lapS
+    assert len({id(phi.S) for phi in bank}) == 25
     for phi in bank:
-        assert float(np.min(phi.value(0.0))) >= 0.0
-        assert float(np.max(np.abs(phi.value(T)))) == 0.0
+        assert float(np.min(phi.r(0.0) * phi.S)) >= 0.0
+        assert float(np.max(np.abs(phi.r(T) * phi.S))) == 0.0
         # outward normal derivative must be <= 0 at every wall so that the
         # dropped diffusion wall flux can only raise the residual
-        g = phi.grad(0.4 * T)
+        g = phi.r(0.4 * T) * phi.gradS
         assert float(np.min(g[0][0, :, :])) >= -1e-14
         assert float(np.max(g[0][-1, :, :])) <= 1e-14
         assert float(np.min(g[1][:, 0, :])) >= -1e-14
@@ -650,3 +666,40 @@ def test_pressure_monitor_rejects_zero_delta(rest_run):
     _, recs, _ = rest_run
     with pytest.raises(ValueError, match="delta"):
         artificial_pressure_monitor(recs, types.SimpleNamespace(delta=0.0))
+
+
+_THREADED_RESIDUAL = """
+import numpy as np
+from mhdlab.constitutive import make_standard_law
+from mhdlab.diagnostics import thermal_weak_residual
+from mhdlab.grid import Grid
+from mhdlab.solver import SchemeParams, mollify_initial_data, run
+
+grid = Grid(shape=(65, 65, 1), extents=(1.0, 1.0, 1.0))
+law = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
+params = SchemeParams(epsilon=0.05, delta=0.1, t_end=0.004)
+x, y, _ = grid.mesh()
+c, s = np.cos(np.pi * x) * np.cos(np.pi * y), np.sin(np.pi * x) * np.sin(np.pi * y)
+u0 = np.stack([0.3 * s, -0.3 * s, np.zeros_like(s)])
+H0 = np.stack([0.2 * s, -0.2 * s, 0.1 * s])
+state0, _ = mollify_initial_data(grid, law, params, 1.0 + 0.25 * c, u0, 1.0 + 0.2 * c, H0)
+res = run(grid, law, params, state0, record_every=1, keep_states=True)
+rep = thermal_weak_residual(grid, law, params, res.recorded_states)
+print(len(res.recorded_states), rep.worst_name)
+print(" ".join(float(v).hex() for _, v in rep.residuals))
+"""
+
+
+def test_weak_residual_bits_do_not_depend_on_blas_threads():
+    # the pairing is matrix products; on the budget2d grid size the report
+    # must not change with the number of BLAS threads
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADED_RESIDUAL], capture_output=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        reports.append(proc.stdout)
+    assert int(reports[0].split()[0]) >= 3
+    assert reports[0] == reports[1]
