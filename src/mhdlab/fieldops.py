@@ -26,10 +26,13 @@ leaves the other axes alone.
 Stacking: d1 and d2 act on the last three axes, so leading axes stack any
 operands that share a parity, and a stacked call does for each operand the
 arithmetic of a call of its own; out= writes the result into a preallocated
-slot.  solver.rhs makes its stencils this way, two stacked passes per axis
-(one ODD, one EVEN d1 each) plus one d2.  One pass along axis j yields d_j
-of every operand, so it keeps its tables by column, T[j][i] = d_j F_i: the
-transpose of the row layout G[i, j] of vector_gradient.
+slot.  solver.rhs makes its stencils this way.  Phase 1 makes one ODD and
+one EVEN d1 per active axis plus one d2; phase 2 one EVEN d1 per axis and,
+on a 2D or 3D grid, one ODD d1 on the operands of the other active axes
+only.  One pass along axis j yields d_j of every operand, so it keeps its
+tables by column, T[j][i] = d_j F_i: the transpose of the row layout
+G[i, j] of vector_gradient.  Its phase-2 tables are pruned to the entries
+that feed a term, and it keeps them in per-thread scratch buffers.
 """
 
 from __future__ import annotations

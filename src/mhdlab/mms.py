@@ -11,6 +11,15 @@ tendency the exact fields fail to satisfy becomes a source term, handed to
 the stepper through its per-block source hook.  Comparing computed and exact
 fields then turns the solver into its own convergence experiment.
 
+The stepper asks for the sources at every stage time.  A fixed-dt run asks
+for t, t + dt, (t + dt) + dt, ...: once a request advances from the one
+before by the same step d as that one did, the source callable evaluates
+the next SOURCE_BLOCK stage times t, t + d, (t + d) + d, ... in one batched
+pass of the same closed form, whose time axis is just one more array axis.
+A time is served from a block only if it is one of the block's times
+exactly; any other time is evaluated on its own.  Every served array is
+therefore the one a direct evaluation at that time gives, byte for byte.
+
 The closed form covers the standard power-family closure only; laws with
 other coefficient shapes are rejected up front.
 """
@@ -41,6 +50,8 @@ __all__ = [
 BLOCKS = ("rho", "u", "theta", "H")
 # order of the values returned by ManufacturedCase.sources
 SOURCE_KEYS = ("rho", "m1", "m2", "m3", "w", "H1", "H2", "H3")
+# stage times evaluated together once the requests advance by a fixed step
+SOURCE_BLOCK = 16
 
 _SAMPLE_RHO = (0.5, 1.0, 1.7)
 _SAMPLE_THETA = (0.3, 1.0, 2.2)
@@ -87,15 +98,22 @@ def _family_scalars(law: ConstitutiveLaw) -> dict:
 class ManufacturedCase:
     """Closed-form exact fields, conserved-variable rates and sources.
 
-    fields and rates map a name to a function of (x, t); sources is one
-    function of (x, t) that returns the eight sources in SOURCE_KEYS order.
+    fields and rates map a name to a function of (x, t).  source_terms is
+    one function of (trig, t), trig being _trig_table(x), that returns the
+    eight sources in SOURCE_KEYS order; t is a float, or an array of times
+    whose trailing axes broadcast against x, which adds a leading time axis
+    to every array it returns.
     """
 
     law: ConstitutiveLaw
     params: SchemeParams
     fields: dict
     rates: dict
-    sources: Callable
+    source_terms: Callable
+
+    def sources(self, x, t):
+        """The eight sources at (x, t), in SOURCE_KEYS order."""
+        return self.source_terms(_trig_table(x), t)
 
     def _eval(self, fn, xs, t):
         out = np.asarray(fn(xs, float(t)), dtype=float)
@@ -124,23 +142,55 @@ class ManufacturedCase:
     def source_callable(self, grid: Grid):
         """sources(t) -> (s_rho, s_m, s_w, s_H), read-only arrays on the grid.
 
-        The arrays of the last t are kept: Heun's second stage of one step
-        and the first stage of the next are evaluated at the same float.
+        The grid's trig table is built once.  A request that no block
+        holds is evaluated directly, and d becomes its difference from the
+        last distinct request.  When a request t is instead the previous
+        one plus d, in float arithmetic as the stepper adds its dt, the
+        step has repeated: the SOURCE_BLOCK times t, t + d, (t + d) + d,
+        ... are evaluated in one batched pass, and d stays the block's step
+        while the block serves.  A request is served from a block only if
+        it equals one of its times exactly.  A repeated request returns the
+        arrays it returned before, so Heun's second stage of one step and
+        the first stage of the next share them.
         """
         xs = grid.mesh()[0]
-        last_t, last = None, None
+        # flat nodes, so that a block broadcasts (times, 1) against (nodes,)
+        trig = _trig_table(xs.ravel())
+        block = {}  # stage time -> its arrays, for the times of the last block
+        last_t = step = last = None
+
+        def split(table):
+            # rows: s_rho, s_m (3), s_w, s_H (3)
+            return table[0], table[1:4], table[4], table[5:8]
+
+        def evaluate(times):
+            """Source tables of the given stage times, one per time."""
+            t = np.array(times)[:, None] if len(times) > 1 else times[0]
+            table = np.empty((len(times), 8, xs.size))
+            for r, v in enumerate(self.source_terms(trig, t)):
+                table[:, r] = v
+            table.flags.writeable = False
+            return table.reshape((len(times), 8) + xs.shape)
 
         def sources(t: float):
-            nonlocal last_t, last
+            nonlocal last_t, step, last
             t = float(t)
-            if t != last_t:
-                # rows: s_rho, s_m (3), s_w, s_H (3)
-                table = np.empty((8,) + xs.shape)
-                for row, v in zip(table, self.sources(xs, t), strict=True):
-                    row[...] = v
-                table.flags.writeable = False
-                last = (table[0], table[1:4], table[4], table[5:8])
-                last_t = t
+            if t == last_t:
+                return last
+            if t in block:
+                # the block's times advance by its step, which stays
+                last = block[t]
+            elif step is not None and t == last_t + step:
+                times = [t]
+                for _ in range(SOURCE_BLOCK - 1):
+                    times.append(times[-1] + step)
+                block.clear()
+                block.update(zip(times, map(split, evaluate(times))))
+                last = block[t]
+            else:
+                last = split(evaluate([t])[0])
+                step = None if last_t is None else t - last_t
+            last_t = t
             return last
 
         return sources
@@ -164,19 +214,37 @@ _X_MODES = {
 }
 
 
-def _jets(x, t: float) -> dict:
-    """name -> (f, f_x, f_xx, f_t) of every profile at (x, t).
-
-    The scalar factors are folded before an array is touched, so each
-    value or derivative costs one array multiply.
-    """
-    trig = {
+def _trig_table(x) -> dict:
+    """The spatial modes of the profiles, evaluated at x."""
+    return {
         "sin x": np.sin(x),
         "cos x": np.cos(x),
         "sin 2x": np.sin(2.0 * x),
         "cos 2x": np.cos(2.0 * x),
     }
-    ct, st = math.cos(t), math.sin(t)
+
+
+def _cos_sin(t):
+    """(cos t, sin t) by the math module: floats for a float t, arrays of
+    the same shape for an array of times."""
+    if not isinstance(t, np.ndarray):
+        return math.cos(t), math.sin(t)
+    flat = t.ravel().tolist()
+    ct = np.array([math.cos(v) for v in flat]).reshape(t.shape)
+    st = np.array([math.sin(v) for v in flat]).reshape(t.shape)
+    return ct, st
+
+
+def _jets(trig: dict, t) -> dict:
+    """name -> (f, f_x, f_xx, f_t) of every profile at (x, t), trig being
+    the trig table of x.
+
+    The scalar factors are folded before an array is touched, so each
+    value or derivative costs one array multiply.  For an array of times
+    the factors are arrays that broadcast against x, and every entry is
+    the product the float factor of its time would give.
+    """
+    ct, st = _cos_sin(t)
     # T and T' of each temporal mode
     time_modes = {"cos t": (ct, -st), "sin t": (st, ct)}
     out = {}
@@ -204,7 +272,7 @@ def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> Manufa
     g3 = gamma / 3.0
 
     def rates(x, t):
-        j = _jets(x, t)
+        j = _jets(_trig_table(x), t)
         rho, _, _, rho_t = j["rho"]
         theta, _, _, theta_t = j["theta"]
         out = {"rho": rho_t, "w": cv0 * (rho_t * theta + (rho + delta) * theta_t)}
@@ -215,8 +283,8 @@ def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> Manufa
         out["H2"], out["H3"] = j["H2"][3], j["H3"][3]
         return out
 
-    def sources(x, t):
-        j = _jets(x, t)
+    def source_terms(trig, t):
+        j = _jets(trig, t)
         rho, rho_x, rho_xx, rho_t = j["rho"]
         u1, u1_x, u1_xx, _ = j["u1"]
         theta, theta_x, theta_xx, theta_t = j["theta"]
@@ -280,7 +348,7 @@ def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> Manufa
     def field(name):
         if name == "H1":
             return lambda x, t: 0.0
-        return lambda x, t: _jets(x, t)[name][0]
+        return lambda x, t: _jets(_trig_table(x), t)[name][0]
 
     def rate(name):
         return lambda x, t: rates(x, t)[name]
@@ -290,7 +358,7 @@ def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> Manufa
         params=params,
         fields={k: field(k) for k in ("rho", "theta", "u1", "u2", "u3", "H1", "H2", "H3")},
         rates={k: rate(k) for k in ("rho", "w", "m1", "m2", "m3", "H1", "H2", "H3")},
-        sources=sources,
+        source_terms=source_terms,
     )
 
 

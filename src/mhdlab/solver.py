@@ -10,20 +10,35 @@ conducting / insulating wall conditions are encoded in the ghost handling
 and re-imposed exactly after each stage.  H is re-projected divergence-free
 after every full step.
 
-rhs is assembled in two stacked stencil phases.  Each makes one ODD and one
-EVEN fieldops.d1 call per active axis on a stack of operands that share the
-parity: phase 1 differentiates the state-level operands (u, H, the mass and
-heat fluxes; u x H, rho and the total pressure), phase 2 the table-level ones
-(the columns and rows of the gradient tables of H and mu*u, rho u u_j and the
-lam terms).  One d2 call per axis on [rho, K] gives both Laplacians.  The
-gradient tables are kept by column: column j holds d_j of every operand of a
-stack, and a suppressed axis has an exact zero column.  The arithmetic is
-that of the fieldops operators (gradient, divergence, laplacian,
-stress_divergence, dissipation, induction_rhs), term for term, so the result
-is the same to the last bit; only + - * / are restacked, and pow is taken on
-the same arrays as there.  Operands are written straight into the stack
-slots, and the stacks and tables live in scratch buffers kept per grid shape
-and thread, so no call allocates one of them.
+rhs is assembled in two stacked stencil phases, each a stack of operands
+that share a parity per fieldops.d1 call.  Phase 1 makes one ODD and one
+EVEN call per active axis on the state-level operands (u, H, the mass and
+heat fluxes; u x H, rho and the total pressure), and one d2 call per axis
+on [rho, K] gives both Laplacians.  Phase 2 differentiates the table-level
+operands (the gradient tables of H and mu*u, rho u u_j and the lam terms),
+and only those that feed a term: along axis j its EVEN call leaves out
+d_j H_j, and its ODD call carries d_k only for the active axes k != j.  So
+a 1D grid makes no phase-2 ODD call, and 2D and 3D grids pass it 2 and 4
+operands (3 and 6 with lam), where a full table would take 6.  The gradient
+tables are kept by column: column j holds d_j of every operand of a stack,
+and a suppressed axis has an exact zero column.
+
+The arithmetic is that of the fieldops operators (gradient, divergence,
+laplacian, stress_divergence, dissipation, induction_rhs), term for term,
+so the result is the same to the last bit; only + - * / are restacked, and
+pow is taken on the same arrays as there.  A term that is an exact zero is
+left out of a sum only where that cannot move a bit: where the sum is
+padded with +0.0, which already fixes the sign of a zero result, or where
+it is a +0.0 being subtracted.  Operands are written straight into the
+stack slots, and the stacks, tables and the other temporaries of rhs live
+in scratch buffers that each thread keeps for its last few grid shapes, so
+a call allocates none of them.
+
+step holds the conserved tuple, and each of its two stage rates, as one
+stack of 8 rows (rho, w, m, H), which rhs fills through its out= argument.
+Each stage update, wall reset and finiteness check is then one call over
+the stack.  The stacks are per-thread scratch as well; the returned State
+owns new arrays.
 
 Regularization knobs: epsilon adds mass diffusion (with its compensating
 velocity-gradient force in the momentum equation), delta carries the
@@ -34,7 +49,6 @@ the (1-delta) damping of the heating terms, and the heat-capacity padding
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -42,7 +56,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .constitutive import ConstitutiveLaw, heat_content, conductivity_potential, pressure, temperature_from_heat
+from .constitutive import ConstitutiveLaw, conductivity_potential, heat_content
 from .errors import ConfigError, InvariantViolation, NumericalAbort
 from .fieldops import EVEN, ODD, _is_zero_coeff, coefficient, cross, d1, d2, divergence
 from .grid import Grid
@@ -242,44 +256,105 @@ def mollify_initial_data(
 # right-hand side
 # ---------------------------------------------------------------------------
 
+# rows of a conserved stack (8, *grid.shape): rho, w, m (3), H (3).  m and H,
+# which vanish on the walls, are adjacent, so one call resets their walls.
+_RHO, _W, _M, _H = 0, 1, slice(2, 5), slice(5, 8)
+_WALLED = slice(2, 8)
+_BLOCKS = (("mass", _RHO), ("momentum", _M), ("thermal", _W), ("magnetic", _H))
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# grid shapes whose scratch buffers a thread keeps
+_SHAPES_KEPT = 4
 
-@functools.lru_cache(maxsize=4)
-def _workspace(shape: tuple, thread: int) -> SimpleNamespace:
-    """Scratch buffers of rhs for one grid shape and thread.
+
+class _PerThread(threading.local):
+    """Scratch buffers of one kind, kept per thread for its last few grid
+    shapes; a thread's buffers are freed with the thread.
 
     They are kept from call to call because allocating and freeing stacks
     this large on every call makes malloc return them to the system and
     fault them back in: so allocated, the stacked rhs measured slower on
-    65x65 and 17^3 than the term-by-term assembly it replaced.  No value
-    carries over: each call writes every slot it reads, and the rows of
-    suppressed axes in the column tables, never written, stay zero.
+    65x65 and 17^3 than the term-by-term assembly it replaced.
     """
+
+    def __init__(self, build):
+        self.build = build
+        self.kept = {}
+
+    def get(self, shape: tuple) -> SimpleNamespace:
+        ws = self.kept.pop(shape, None)
+        if ws is None:
+            ws = self.build(shape)
+            if len(self.kept) >= _SHAPES_KEPT:
+                del self.kept[next(iter(self.kept))]
+        self.kept[shape] = ws  # most recent last
+        return ws
+
+
+def _rows(idx) -> slice:
+    """Rows idx as a slice; every subset of the three axes is an arithmetic
+    progression."""
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    return slice(idx[0], idx[-1] + 1, step)
+
+
+def _rhs_scratch(shape: tuple) -> SimpleNamespace:
+    """Scratch buffers and table layout of rhs for one grid shape.
+
+    No value carries over: each call writes every slot it reads, and the
+    columns of suppressed axes in odd_col and even_col, never written, stay
+    zero.
+    """
+    axes = tuple(a for a in range(3) if shape[a] > 1)
 
     def buf(*lead):
         return np.zeros(lead + shape)
 
     return SimpleNamespace(
-        even=buf(10),  # EVEN d1 operands (phase 1 also keeps K for d2)
+        axes=axes,
+        # along j, the H rows i != j and the active axes k != j
+        h_rows={j: _rows([i for i in range(3) if i != j]) for j in axes},
+        h_slot={j: {i: s for s, i in enumerate(i for i in range(3) if i != j)} for j in axes},
+        others={j: [k for k in axes if k != j] for j in axes},
+        even=buf(9),  # EVEN d1 operands (phase 1 also keeps K for d2)
         odd=buf(8),  # ODD d1 operands
         odd_col=buf(3, 8),
         even_col=buf(3, 5),
-        along=buf(3, 10),
-        across=buf(3, 8),
+        along=buf(3, 9),
+        across=buf(3, 6),
+        rho_u=buf(3),
+        rho_q=buf(),
+        theta_pth=buf(),
+        lap=buf(2),
+        flux_div=buf(2),
+        divu=buf(),
+        curl_H=buf(3),
+        stress=buf(3),
+        eps_force=buf(3),
+        sym=buf(3, 3),
+        diss=buf(),
+        heating=buf(),
+        tmp=buf(),
+        tmp3=buf(3),
     )
 
 
-def _sum(terms, pad: bool = True) -> np.ndarray:
-    """Add terms left to right into a new array.
+_rhs_workspace = _PerThread(_rhs_scratch)
+
+
+def _fold(out: np.ndarray, terms, pad: bool = True) -> np.ndarray:
+    """out = terms added left to right.
 
     pad=True also adds +0.0, which turns a -0.0 result into +0.0 and so
     reproduces bit for bit a sum that had exact +0.0 terms anywhere in it:
-    a zero-filled accumulator, or the column of a suppressed axis.
+    a zero-filled accumulator, or the column of a suppressed axis.  Such a
+    sum is never -0.0, so any other exactly zero term can be left out of it
+    without changing a bit.
     """
     first, *rest = terms
-    acc = first + 0.0 if pad else first + rest.pop(0)
+    np.add(first, 0.0 if pad else rest.pop(0), out=out)
     for term in rest:
-        acc += term
-    return acc
+        out += term
+    return out
 
 
 def rhs(
@@ -293,24 +368,33 @@ def rhs(
     *,
     t: float = 0.0,
     sources=None,
+    out: np.ndarray | None = None,
 ):
     """Time derivatives of (rho, rho u, (rho+delta)Q(theta), H).
 
     sources, if given, is called with the stage time and must return a
     4-tuple of arrays (or None entries) added to the respective blocks;
-    manufactured-solution runs use it.
+    manufactured-solution runs use it.  out, if given, is a conserved stack
+    (8, *grid.shape) with rows rho, w, m, H, into which the blocks are
+    written; the returned blocks are views of it.
     """
     eps = params.epsilon
     delta = params.delta
-    axes = grid.active_axes
     shape = grid.shape
+    ws = _rhs_workspace.get(shape)
+    axes = ws.axes
     # a sum over all three axes meets the exact zero column of a suppressed one
     padded = len(axes) < 3
-    ws = _workspace(shape, threading.get_ident())
+    if out is None:
+        out = np.empty((8,) + shape)
+    drho, dw, dm, induction = out[_RHO], out[_W], out[_M], out[_H]
+    tmp, tmp3 = ws.tmp, ws.tmp3
     mu = coefficient(law.mu, theta)
     lam = None if _is_zero_coeff(law.lam) else coefficient(law.lam, theta)
-    rho_u = rho * u
-    rho_q = rho * heat_content(law, theta)
+    rho_u = np.multiply(rho, u, out=ws.rho_u)
+    rho_q = np.multiply(rho, heat_content(law, theta), out=ws.rho_q)
+    # theta p_th(rho): in the pressure and in the thermal block
+    theta_pth = np.multiply(theta, law.p_th(rho), out=ws.theta_pth)
 
     # phase 1: one ODD and one EVEN d1 per axis on the state-level operands,
     # and one d2 per axis on [rho, K].  Column j of a table holds d_j of
@@ -323,7 +407,11 @@ def rhs(
     odd[0:3] = u
     odd[3:6] = H
     cross(u, H, out=even[0:3])
-    np.add(pressure(law, rho, theta), delta * np.power(rho, params.beta), out=even[3])
+    # ptot = pressure(law, rho, theta) + delta rho^beta
+    np.add(law.p_e(rho), theta_pth, out=even[3])
+    np.power(rho, params.beta, out=tmp)
+    tmp *= delta
+    even[3] += tmp
     even[4] = rho
     even[5] = conductivity_potential(law, theta)
     for j in axes:
@@ -331,99 +419,151 @@ def rhs(
         np.multiply(rho_q, u[j], out=odd[7])
         d1(grid, odd, j, ODD, out=odd_col[j])
         d1(grid, even[:5], j, EVEN, out=even_col[j])
-    lap = _sum([d2(grid, even[4:], j, EVEN) for j in axes])  # lap rho, lap K
-    flux_div = _sum([odd_col[j, 6:8] for j in axes])  # div(rho u), div(rho Q u)
-    divu = _sum([odd_col[j, j] for j in axes], padded)
+    lap = ws.lap  # lap rho, lap K
+    for n, j in enumerate(axes):
+        if n:
+            lap += d2(grid, even[4:], j, EVEN, out=tmp3[:2])
+        else:
+            d2(grid, even[4:], j, EVEN, out=lap)
+            lap += 0.0
+    flux_div = _fold(ws.flux_div, [odd_col[j, 6:8] for j in axes])  # div(rho u), div(rho Q u)
+    divu = _fold(ws.divu, [odd_col[j, j] for j in axes], padded)
 
-    induction = np.empty((3,) + shape)
-    curl_H = np.empty((3,) + shape)
-    for c, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    curl_H = ws.curl_H
+    for c, i, j in _CYCLIC:
         np.subtract(odd_col[i, 3 + j], odd_col[j, 3 + i], out=curl_H[c])
         np.subtract(even_col[i, j], even_col[j, i], out=induction[c])
 
-    # phase 2: one EVEN and one ODD d1 per axis on the table-level operands.
-    # Along axis j, d_j F_i is EVEN and d_i F_j is ODD (i != j) for F = u, H;
-    # rho u_i u_j is EVEN; lam du[k, k] is EVEN along k and ODD across it.
-    # along[j] = d_j [dH[:, j], mu du[:, j], rho u u_j, lam du[j, j]] and
-    # across[j] = d_j [dH[j, :], mu du[j, :], lam du[k, k] for k != j].
-    n_even = 9 if lam is None else 10
-    n_odd = 6 if lam is None else 5 + len(axes)
+    # phase 2: one EVEN and one ODD d1 per axis on the table-level operands
+    # that feed a term.  Along axis j, d_j F_i is EVEN and d_k F_j is ODD
+    # (k != j) for F = u, H; rho u_i u_j is EVEN; lam du[k, k] is EVEN along
+    # k and ODD across it.  With the H rows i != j and the active k != j:
+    #   along[j]  = d_j [dH[i, j], mu du[:, j], rho u u_j, lam du[j, j]]
+    #   across[j] = d_j [dH[j, k], mu du[j, k], lam du[k, k]]
+    # d_j d_j H_j, and d_j of the exact zeros d_k F for a suppressed k, feed
+    # no term and are not taken; a 1D grid has no ODD pass.
+    n_other = len(axes) - 1
+    n_even = 8 if lam is None else 9
+    n_odd = (2 if lam is None else 3) * n_other
     even, odd = ws.even[:n_even], ws.odd[:n_odd]
     along, across = ws.along, ws.across
     for j in axes:
-        even[0:3] = odd_col[j, 3:6]
-        np.multiply(mu, odd_col[j, 0:3], out=even[3:6])
-        np.multiply(rho_u, u[j], out=even[6:9])
-        for k in range(3):
-            odd[k] = odd_col[k, 3 + j]
-            np.multiply(mu, odd_col[k, j], out=odd[3 + k])
+        even[0:2] = odd_col[j, 3:][ws.h_rows[j]]
+        np.multiply(mu, odd_col[j, 0:3], out=even[2:5])
+        np.multiply(rho_u, u[j], out=even[5:8])
         if lam is not None:
-            np.multiply(lam, odd_col[j, j], out=even[9])
-            for slot, k in enumerate((k for k in axes if k != j), 6):
-                np.multiply(lam, odd_col[k, k], out=odd[slot])
+            np.multiply(lam, odd_col[j, j], out=even[8])
         d1(grid, even, j, EVEN, out=along[j, :n_even])
-        d1(grid, odd, j, ODD, out=across[j, :n_odd])
+        if n_other:
+            for s, k in enumerate(ws.others[j]):
+                odd[s] = odd_col[k, 3 + j]
+                np.multiply(mu, odd_col[k, j], out=odd[n_other + s])
+                if lam is not None:
+                    np.multiply(lam, odd_col[k, k], out=odd[2 * n_other + s])
+            d1(grid, odd, j, ODD, out=across[j, :n_odd])
 
-    # magnetic: curl(u x H) - nu curl(curl H)
-    curl_curl = np.empty((3,) + shape)
-    for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.subtract(across[a, c], along[a, c], out=curl_curl[c])
-        curl_curl[c] -= along[b, c]
-        curl_curl[c] += across[b, c]
-    curl_curl *= law.nu
-    induction -= curl_curl
+    def dd_along(a, c):  # d_a d_a H_c, None for a suppressed a
+        return along[a, ws.h_slot[a][c]] if a in axes else None
 
-    # mass: -div(rho u) + eps lap(rho)
-    drho = lap[0] * eps
-    drho -= flux_div[0]
+    def dd_across(a, c):  # d_a d_c H_a, None for a suppressed a or c
+        others = ws.others.get(a, ())
+        return across[a, others.index(c)] if c in others else None
+
+    # magnetic: curl(u x H) - nu curl(curl H), where (curl curl H)_c =
+    # d_a d_c H_a - d_a d_a H_c - d_b d_b H_c + d_b d_c H_b.  The terms of a
+    # suppressed axis are exact zeros: subtracted, a +0.0 changes nothing;
+    # added, it turns -0.0 into +0.0, which is kept below where it can occur.
+    # d_a d_c H_a of a suppressed c is -0.0 on the high wall of a, so a 2D
+    # sum without it reads +0.0 for -0.0 on one corner, where induction is
+    # +0.0 minus it: +0.0 either way.
+    curl_curl = tmp3
+    rows = []
+    for c, a, b in _CYCLIC:
+        ta, tb = dd_across(a, c), dd_across(b, c)
+        subtracted = [t for t in (dd_along(a, c), dd_along(b, c)) if t is not None]
+        if not subtracted:
+            continue  # all four terms are +0.0
+        np.subtract(0.0 if ta is None else ta, subtracted[0], out=curl_curl[c])
+        for term in subtracted[1:]:
+            curl_curl[c] -= term
+        if tb is not None:
+            curl_curl[c] += tb
+        elif ta is not None:
+            curl_curl[c] += 0.0
+        rows.append(c)
+    rows = _rows(rows)
+    curl_curl[rows] *= law.nu
+    induction[rows] -= curl_curl[rows]
 
     # momentum: -div(rho u x u) - grad(p + delta rho^beta)
     #           - eps (grad u) grad rho + (curl H) x H + div psi
     # div psi: d_j [mu d_j u_i] is EVEN along j and d_j [mu d_i u_j] ODD for
-    # i != j, so the i = j entry comes from the EVEN pass
-    for j in axes:
-        across[j, 3 + j] = along[j, 3 + j]
-    stress = _sum([col[j, 3:6] for j in axes for col in (along, across)])
+    # i != j, so the i = j entry comes from the EVEN pass; the entries of a
+    # suppressed i are exact zeros, left out of the padded sum
+    stress = ws.stress
+    for n, j in enumerate(axes):
+        if n:
+            stress += along[j, 2:5]
+        else:
+            np.add(along[j, 2:5], 0.0, out=stress)
+        stress[j] += along[j, 2 + j]
+        for s, k in enumerate(ws.others[j]):
+            stress[k] += across[j, n_other + s]
     if lam is not None:
         for i in axes:
-            slots = iter(across[i, 6:n_odd])
             for k in axes:
-                stress[i] += along[i, 9] if k == i else next(slots)
-    dm = _sum([along[j, 6:9] for j in axes])
+                if k == i:
+                    stress[i] += along[i, 8]
+                else:
+                    stress[i] += across[i, 2 * n_other + ws.others[i].index(k)]
+    _fold(dm, [along[j, 5:8] for j in axes])
     np.negative(dm, out=dm)
     for j in axes:
         dm[j] -= even_col[j, 3]
-    eps_force = _sum([odd_col[j, 0:3] * even_col[j, 4] for j in axes], padded)
+    eps_force = ws.eps_force
+    for n, j in enumerate(axes):
+        if n:
+            eps_force += np.multiply(odd_col[j, 0:3], even_col[j, 4], out=tmp3)
+        else:
+            np.multiply(odd_col[j, 0:3], even_col[j, 4], out=eps_force)
+            if padded:
+                eps_force += 0.0
     eps_force *= eps
     dm -= eps_force
-    dm += cross(curl_H, H)
+    dm += cross(curl_H, H, out=tmp3)
     dm += stress
 
     # thermal: -div(rho Q u) + lap K - delta theta^(alpha+1)
     #          + (1-delta)(nu |curl H|^2 + psi:grad u) - theta p_th div u
-    # psi:grad u = (mu/2) sum_ij (d_i u_j + d_j u_i)^2 + lam (div u)^2; the
+    # psi:grad u = (mu/2) sum_ij (d_i u_j + d_j u_i)^2 + lam (div u)^2.  The
     # squares are never -0.0, so the exact zeros of pairs of suppressed axes
-    # are left out without changing a bit
-    sym2 = {}
-    for i in range(3):
-        for j in range(i, 3):
-            if i in axes or j in axes:
-                s = odd_col[j, i] + odd_col[i, j]
-                sym2[i, j] = sym2[j, i] = s * s
-    diss = _sum([sym2[ij] for ij in sorted(sym2)], pad=False)
+    # change no bit of the sum.  A reduction over the leading axis of a
+    # C-contiguous stack adds its rows in order, as a loop would.
+    sym = ws.sym
+    np.add(odd_col[:, 0:3], odd_col[:, 0:3].swapaxes(0, 1), out=sym)
+    np.multiply(sym, sym, out=sym)
+    diss = np.add.reduce(sym.reshape((9,) + shape), axis=0, out=ws.diss)
     diss *= 0.5 * mu
     if lam is not None:
-        diss += lam * divu * divu
-    sq = curl_H * curl_H
-    heating = sq[0] + sq[1]
-    heating += sq[2]
+        np.multiply(lam, divu, out=tmp)
+        tmp *= divu
+        diss += tmp
+    np.multiply(curl_H, curl_H, out=tmp3)
+    heating = np.add.reduce(tmp3, axis=0, out=ws.heating)
     heating *= law.nu
     heating += diss
     heating *= 1.0 - delta
-    dw = lap[1] - flux_div[1]
-    dw -= delta * np.power(theta, law.alpha + 1.0)
+    np.subtract(lap[1], flux_div[1], out=dw)
+    np.power(theta, law.alpha + 1.0, out=tmp)
+    tmp *= delta
+    dw -= tmp
     dw += heating
-    dw -= theta * law.p_th(rho) * divu
+    np.multiply(theta_pth, divu, out=tmp)
+    dw -= tmp
+
+    # mass: -div(rho u) + eps lap(rho)
+    np.multiply(lap[0], eps, out=drho)
+    drho -= flux_div[0]
 
     if sources is not None:
         for block, source in zip((drho, dm, dw, induction), sources(t)):
@@ -475,18 +615,20 @@ def stable_dt(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: Sta
 # ---------------------------------------------------------------------------
 
 
-def _recover(grid, law, params, rho, m, w, incidents: IncidentLog, stage: str, t: float):
-    """Primitives from conserved blocks, with guarded division and floors."""
+def _recover(law, params, x, incidents: IncidentLog, stage: str, t: float):
+    """Primitives from a conserved stack, with guarded division and floors."""
+    rho, m, w = x[_RHO], x[_M], x[_W]
     rho_min = float(np.min(rho))
     if not rho_min > 0.0:
         raise InvariantViolation(
             f"density positivity lost ({stage}, t={t:.6g}): min rho = {rho_min:.6g}"
         )
     floor = 0.5 * params.delta
-    hits = int(np.count_nonzero(rho < floor))
-    if hits:
-        incidents.velocity_clamp_nodes += hits
-    u = m / np.maximum(rho, floor)
+    if rho_min < floor:
+        incidents.velocity_clamp_nodes += int(np.count_nonzero(rho < floor))
+        u = m / np.maximum(rho, floor)
+    else:
+        u = m / rho
 
     q = w / (rho + params.delta)
     q_min = float(np.min(q))
@@ -498,20 +640,32 @@ def _recover(grid, law, params, rho, m, w, incidents: IncidentLog, stage: str, t
             )
         incidents.heat_floor_nodes += int(np.count_nonzero(q < 0.0))
         q = np.maximum(q, 0.0)
-    theta = temperature_from_heat(law, q)
-    return u, theta
+    # theta = temperature_from_heat(law, q); q >= 0 needs no second scan
+    q /= law.c_v.c
+    return u, q
 
 
-_BLOCKS = ("mass", "momentum", "thermal", "magnetic")
+def _check_finite(x: np.ndarray, finite: np.ndarray, t: float) -> None:
+    if not np.isfinite(x, out=finite).all():
+        for name, rows in _BLOCKS:
+            bad = int(np.count_nonzero(~finite[rows]))
+            if bad:
+                raise NumericalAbort(
+                    f"non-finite values in the {name} block at t={t:.6g} ({bad} nodes)"
+                )
 
 
-def _check_finite(arrays, t: float) -> None:
-    for name, arr in zip(_BLOCKS, arrays):
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.count_nonzero(~np.isfinite(arr)))
-            raise NumericalAbort(
-                f"non-finite values in the {name} block at t={t:.6g} ({bad} nodes)"
-            )
+def _step_scratch(shape: tuple) -> SimpleNamespace:
+    """Conserved stacks of step: the state x0, the stage-1 state x1 and the
+    two stage rates; the stage-2 state is built in k2."""
+
+    def stack(dtype=float):
+        return np.empty((8,) + shape, dtype)
+
+    return SimpleNamespace(x0=stack(), x1=stack(), k1=stack(), k2=stack(), finite=stack(bool))
+
+
+_step_workspace = _PerThread(_step_scratch)
 
 
 def step(
@@ -526,41 +680,47 @@ def step(
     incidents: IncidentLog | None = None,
     dt_limit: float | None = None,
 ) -> State:
-    """One Heun step of the conserved tuple; walls re-imposed each stage."""
+    """One Heun step of the conserved tuple; walls re-imposed each stage.
+
+    Each stage names in its errors the time of its rhs: t, then t + dt.
+    The returned state owns its arrays.
+    """
     if incidents is None:
         incidents = IncidentLog()
     if dt_limit is None:
         dt_limit = stable_dt(grid, law, params, state)
+    t = state.t
     if dt > dt_limit * (1.0 + 1e-12):
         raise InvariantViolation(
-            f"dt={dt:.6g} exceeds the stability limit {dt_limit:.6g} at t={state.t:.6g}"
+            f"dt={dt:.6g} exceeds the stability limit {dt_limit:.6g} at t={t:.6g}"
         )
 
-    rho0, u0, th0, H0 = state.rho, state.u, state.theta, state.H
-    m0 = rho0 * u0
-    w0 = (rho0 + params.delta) * heat_content(law, th0)
+    ws = _step_workspace.get(grid.shape)
+    x0, x1, k1, k2 = ws.x0, ws.x1, ws.k1, ws.k2
+    rho0 = state.rho
+    x0[_RHO] = rho0
+    np.multiply(rho0, state.u, out=x0[_M])
+    np.multiply(rho0 + params.delta, heat_content(law, state.theta), out=x0[_W])
+    x0[_H] = state.H
 
-    k1 = rhs(grid, law, params, rho0, u0, th0, H0, t=state.t, sources=sources)
-    rho1 = rho0 + dt * k1[0]
-    m1 = m0 + dt * k1[1]
-    w1 = w0 + dt * k1[2]
-    H1 = H0 + dt * k1[3]
-    grid.zero_walls(m1)
-    grid.zero_walls(H1)
-    _check_finite((rho1, m1, w1, H1), state.t)
-    u1, th1 = _recover(grid, law, params, rho1, m1, w1, incidents, "stage 1", state.t)
+    rhs(grid, law, params, rho0, state.u, state.theta, state.H, t=t, sources=sources, out=k1)
+    np.multiply(k1, dt, out=x1)
+    x1 += x0
+    grid.zero_walls(x1[_WALLED])
+    _check_finite(x1, ws.finite, t)
+    u1, th1 = _recover(law, params, x1, incidents, "stage 1", t)
 
-    k2 = rhs(grid, law, params, rho1, u1, th1, H1, t=state.t + dt, sources=sources)
-    rho2 = rho0 + 0.5 * dt * (k1[0] + k2[0])
-    m2 = m0 + 0.5 * dt * (k1[1] + k2[1])
-    w2 = w0 + 0.5 * dt * (k1[2] + k2[2])
-    H2 = H0 + 0.5 * dt * (k1[3] + k2[3])
-    grid.zero_walls(m2)
-    grid.zero_walls(H2)
-    _check_finite((rho2, m2, w2, H2), state.t + dt)
-    u2, th2 = _recover(grid, law, params, rho2, m2, w2, incidents, "stage 2", state.t)
-    H2 = projector.project(H2)
-    return State(grid, rho2, u2, th2, H2, state.t + dt)
+    t2 = t + dt
+    rhs(grid, law, params, x1[_RHO], u1, th1, x1[_H], t=t2, sources=sources, out=k2)
+    x2 = k2
+    x2 += k1
+    x2 *= 0.5 * dt
+    x2 += x0
+    grid.zero_walls(x2[_WALLED])
+    _check_finite(x2, ws.finite, t2)
+    u2, th2 = _recover(law, params, x2, incidents, "stage 2", t2)
+    # project returns a new array
+    return State(grid, x2[_RHO].copy(), u2, th2, projector.project(x2[_H]), t2)
 
 
 # ---------------------------------------------------------------------------

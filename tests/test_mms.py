@@ -20,7 +20,9 @@ from mhdlab.constitutive import Const, Sum, Power, make_standard_law, validate_h
 from mhdlab.errors import ConfigError
 from mhdlab.grid import Grid
 from mhdlab.mms import (
+    SOURCE_BLOCK,
     SOURCE_KEYS,
+    ManufacturedCase,
     make_manufactured_case,
     spatial_convergence_study,
     temporal_convergence_study,
@@ -227,33 +229,116 @@ def test_study_is_deterministic():
     assert a.orders == b.orders
 
 
-def test_sources_evaluated_once_per_stage_time():
+def _counted_case():
+    """A case whose closed form records every stage time it evaluates."""
     case = make_manufactured_case(LAW, PARAMS)
     evaluations = []
-    lambdified = case.sources
+    terms = case.source_terms
 
-    def counted(x, t):
-        evaluations.append(t)
-        return lambdified(x, t)
+    def counted(trig, t):
+        evaluations.extend(np.ravel(t).tolist())
+        return terms(trig, t)
 
-    case.sources = counted
-    grid = _grid(16)
-    src = case.source_callable(grid)
-    calls = []
+    case.source_terms = counted
+    return case, evaluations
 
+
+def _requesting(src, calls):
     def traced(t):
         calls.append(t)
         return src(t)
 
-    p = replace(PARAMS, dt=1e-3, t_end=5e-3)
-    res = run(grid, LAW, p, case.exact_state(grid, 0.0), record_every=10**9, sources=traced)
+    return traced
+
+
+def test_sources_evaluated_once_per_stage_time():
+    case, evaluations = _counted_case()
+    grid = _grid(64)
+    src = case.source_callable(grid)
+    calls = []
+    # the coarsest run of the spatial study: 83 full steps and one cut to
+    # land on t_end, its times crossing six powers of two
+    h = np.pi / 64
+    p = replace(PARAMS, dt=0.5 * h * h, t_end=0.1)
+    res = run(
+        grid, LAW, p, case.exact_state(grid, 0.0), record_every=10**9, sources=_requesting(src, calls)
+    )
+    assert res.steps == 84 and res.dt_last < p.dt
     # Heun: two stage times per step, the second one equal to the next first
     assert len(calls) == 2 * res.steps
-    assert evaluations == sorted(set(calls))
-    assert len(evaluations) == res.steps + 1
+    requested = sorted(set(calls))
+    assert len(requested) == res.steps + 1
+    # each requested time comes from exactly one evaluation
+    assert len(evaluations) == len(set(evaluations))
+    assert set(requested) <= set(evaluations)
+    # the only waste is the rest of the block cut short by the last step
+    wasted = sorted(set(evaluations) - set(requested))
+    assert len(wasted) < SOURCE_BLOCK
+    assert all(t > p.t_end for t in wasted)
     first, again = src(0.25), src(0.25)
     assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
-    assert [a.shape for a in first] == [(17, 1, 1), (3, 17, 1, 1), (17, 1, 1), (3, 17, 1, 1)]
+    assert [a.shape for a in first] == [(65, 1, 1), (3, 65, 1, 1), (65, 1, 1), (3, 65, 1, 1)]
+
+
+def test_sources_of_a_changing_step_are_evaluated_one_by_one():
+    case, evaluations = _counted_case()
+    src = case.source_callable(_grid(16))
+    times = [0.0]
+    for i in range(60):
+        times.append(times[-1] + 1e-3 * (1.0 + 0.01 * i))
+    for t in times:
+        src(t)
+        src(t)  # the next stage asks again
+    assert len(evaluations) <= 2 * len(times)
+    assert sorted(set(evaluations)) == times
+
+
+def _assert_rows_are_direct_evaluations(case, served):
+    for (grid, t), got in served.items():
+        xs = grid.mesh()[0]
+        v = [np.broadcast_to(np.asarray(s, dtype=float), xs.shape) for s in case.sources(xs, t)]
+        want = (v[0], np.stack(v[1:4]), v[4], np.stack(v[5:8]))
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes(), (grid.shape, t)
+
+
+def _serving(monkeypatch):
+    """Record every array a source callable serves, by (grid, stage time)."""
+    served = {}
+    source_callable = ManufacturedCase.source_callable
+
+    def recording(case, grid):
+        src = source_callable(case, grid)
+
+        def sources(t):
+            out = src(t)
+            served[grid, t] = out
+            return out
+
+        return sources
+
+    monkeypatch.setattr(ManufacturedCase, "source_callable", recording)
+    return served
+
+
+@pytest.mark.parametrize("cells", [64, 128, 256])
+def test_block_sources_match_direct_evaluation_in_fixed_dt_runs(case, cells, monkeypatch):
+    served = _serving(monkeypatch)
+    grid = _grid(cells)
+    h = np.pi / cells
+    p = replace(PARAMS, dt=0.5 * h * h, t_end=0.03)
+    run(grid, LAW, p, case.exact_state(grid, 0.0), record_every=10**9, sources=case.source_callable(grid))
+    assert len(served) > SOURCE_BLOCK
+    _assert_rows_are_direct_evaluations(case, served)
+
+
+def test_block_sources_match_direct_evaluation_in_temporal_study(case, monkeypatch):
+    served = _serving(monkeypatch)
+    temporal_convergence_study(LAW, PARAMS, cells=32, t_end=0.01, base_dt=8e-4, refinements=2)
+    # the reference run and two refinements, all from t = 0
+    assert len(served) > 3 * SOURCE_BLOCK
+    _assert_rows_are_direct_evaluations(case, served)
 
 
 def test_source_arrays_match_broadcast_reference(case):

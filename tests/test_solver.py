@@ -10,6 +10,7 @@ theta(t) = (1 + (0.3/1.1) t)^(-1/3) by separation of variables.  Everything
 else (clamp bounds, stability limits) is frozen from hand arithmetic.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -26,6 +27,7 @@ from mhdlab.constitutive import (
 from mhdlab.errors import ConfigError, InvariantViolation
 from mhdlab.fieldops import (
     EVEN,
+    ODD,
     d1,
     dissipation,
     divergence,
@@ -338,11 +340,26 @@ def test_rhs_bitwise_matches_reference_with_mms_sources():
         )
 
 
+def _in_threads(work, n):
+    """Run work(i) for i < n in n threads, switching between them often."""
+    import threading
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+
+
 def test_rhs_threads_keep_their_own_scratch_buffers():
     # rhs reuses scratch buffers between calls; each thread has its own, so
     # concurrent calls on one grid shape give the serial results
-    import threading
-
     grid = Grid(shape=(41, 37, 1), extents=(1.0, 1.3, 1.0))
     law = make_standard_law(lam0=0.2)
     params = SchemeParams(epsilon=0.05, delta=0.1)
@@ -354,33 +371,134 @@ def test_rhs_threads_keep_their_own_scratch_buffers():
         for _ in range(20):
             got[i] = rhs(grid, law, params, *states[i])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    _in_threads(work, len(states))
     for g, w in zip(got, want):
         _assert_bitwise(g, w)
 
 
-@pytest.mark.parametrize("shape", [(17, 1, 1), (9, 7, 1), (7, 6, 5)])
+def _state_bytes(state):
+    return [a.tobytes() for a in (state.rho, state.u, state.theta, state.H)] + [state.t]
+
+
+def _smooth_state(grid, law, params, amp=1.0):
+    fields = _smooth_2d_fields(grid, 0.25 * amp, 0.3 * amp, 0.2 * amp)
+    return mollify_initial_data(grid, law, params, *fields)[0]
+
+
+def test_step_threads_keep_their_own_scratch_buffers():
+    # step, like rhs, keeps its stacks per thread
+    grid = Grid(shape=(17, 15, 1), extents=(1.0, 1.3, 1.0))
+    law = make_standard_law(lam0=0.2)
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    proj = DivFreeProjector(grid)
+    starts = [_smooth_state(grid, law, params, 1.0 + 0.1 * i) for i in range(6)]
+
+    def advance(state):
+        for _ in range(5):
+            state = step(grid, law, params, state, 1e-4, projector=proj)
+        return _state_bytes(state)
+
+    want = [advance(s) for s in starts]
+    got = [None] * len(starts)
+
+    def work(i):
+        got[i] = advance(starts[i])
+
+    _in_threads(work, len(starts))
+    assert got == want
+
+
+def test_scratch_buffers_are_kept_per_live_thread_and_freed_with_it():
+    import threading
+    import weakref
+
+    from mhdlab import solver
+
+    grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.0, 1.0))
+    law = make_standard_law()
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    state = _smooth_state(grid, law, params)
+    proj = DivFreeProjector(grid)
+    n = 6  # more threads than a thread keeps grid shapes
+    barrier = threading.Barrier(n)
+    kept, refs = [False] * n, []
+
+    def scratch():
+        return solver._rhs_workspace.get(grid.shape), solver._step_workspace.get(grid.shape)
+
+    def work(i):
+        step(grid, law, params, state, 1e-4, projector=proj)
+        first = scratch()
+        barrier.wait()  # every thread holds its buffers now
+        step(grid, law, params, state, 1e-4, projector=proj)
+        kept[i] = all(a is b for a, b in zip(first, scratch()))
+        refs.extend((weakref.ref(first[0].tmp), weakref.ref(first[1].x0)))
+
+    _in_threads(work, n)
+    assert all(kept)
+    gc.collect()
+    assert len(refs) == 2 * n and all(r() is None for r in refs)
+
+
+def test_step_results_own_their_arrays():
+    from mhdlab import solver
+
+    grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.0, 1.0))
+    law = make_standard_law()
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    proj = DivFreeProjector(grid)
+    s0 = _smooth_state(grid, law, params)
+    s1 = step(grid, law, params, s0, 1e-4, projector=proj)
+    s2 = step(grid, law, params, s1, 1e-4, projector=proj)
+    scratch = [
+        a
+        for ws in (solver._rhs_workspace.get(grid.shape), solver._step_workspace.get(grid.shape))
+        for a in vars(ws).values()
+        if isinstance(a, np.ndarray)
+    ]
+    arrays = [a for s in (s0, s1, s2) for a in (s.rho, s.u, s.theta, s.H)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+        assert not any(np.shares_memory(a, w) for w in scratch)
+    # a caller may change a returned state; the states before and after keep theirs
+    want1, want2 = _state_bytes(s1), _state_bytes(s2)
+    for a in (s1.rho, s1.u, s1.theta, s1.H):
+        a[...] = np.nan
+    assert _state_bytes(s2) == want2
+    s1 = step(grid, law, params, s0, 1e-4, projector=proj)
+    assert _state_bytes(s1) == want1
+    assert _state_bytes(step(grid, law, params, s1, 1e-4, projector=proj)) == want2
+
+
+def test_stage_two_failure_names_the_stage_two_time():
+    grid = Grid(shape=(17, 1, 1), extents=(1.0, 1.0, 1.0))
+    law = make_standard_law()
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    state = _uniform_state(grid)
+    state.t = 0.25
+    proj = DivFreeProjector(grid)
+    sink = np.full(grid.shape, -1e5)
+
+    def sources(t):  # drains the mass at the second stage only
+        return (sink if t > state.t else None, None, None, None)
+
+    with pytest.raises(InvariantViolation, match=r"density positivity lost \(stage 2, t=0\.2501\)"):
+        step(grid, law, params, state, 1e-4, projector=proj, sources=sources)
+
+
+@pytest.mark.parametrize("shape", [(17, 1, 1), (9, 7, 1), (7, 6, 5), (8, 1, 6)])
 @pytest.mark.parametrize("lam0", [0.0, 0.3])
 def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
-    # two stacked passes per active axis, each one ODD and one EVEN d1, plus
-    # one d2 on [rho, K]
+    # phase 1: one ODD and one EVEN d1 per active axis, then one d2 per axis
+    # on [rho, K]; phase 2: one EVEN d1 per axis and, where other axes are
+    # active, one ODD d1 on their operands alone
     calls = []
     for name in ("d1", "d2"):
         fn = getattr(fieldops, name)
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+        def counted(grid, f, axis, parity, *args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, parity, f.shape[0]))
+            return _fn(grid, f, axis, parity, *args, **kwargs)
 
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("mhdlab") and getattr(mod, name, None) is fn:
@@ -388,9 +506,14 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
     grid = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
     fields, _ = _random_state(grid, 3, False)
     rhs(grid, make_standard_law(lam0=lam0), SchemeParams(epsilon=0.05, delta=0.1), *fields)
-    n_active = grid.ndim_active
-    assert calls.count("d1") == 4 * n_active
-    assert calls.count("d2") == n_active
+    n = grid.ndim_active
+    lam = lam0 > 0.0
+    phase1 = [("d1", ODD, 8), ("d1", EVEN, 5)] * n + [("d2", EVEN, 2)] * n
+    phase2 = [("d1", EVEN, 9 if lam else 8)]
+    if n > 1:
+        phase2.append(("d1", ODD, (3 if lam else 2) * (n - 1)))
+    assert calls == phase1 + phase2 * n
+    assert [c[0] for c in calls].count("d1") == {1: 3, 2: 8, 3: 12}[n]
 
 
 # ---------------------------------------------------------------------------
