@@ -33,6 +33,11 @@ only.  One pass along axis j yields d_j of every operand, so it keeps its
 tables by column, T[j][i] = d_j F_i: the transpose of the row layout
 G[i, j] of vector_gradient.  Its phase-2 tables are pruned to the entries
 that feed a term, and it keeps them in per-thread scratch buffers.
+
+Wall tables: the wall slabs of each grid axis, at indices 0, 1, -2 and -1
+along it with any leading axes passing through, are one module table,
+_WALLS, built at import.  d1 and d2 index it, so a call builds no index of
+its own; the interior stencil is one operation on the flat arrays.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ __all__ = [
     "table_curl",
     "curl",
     "laplacian",
-    "coefficient",
     "stress_tensor",
     "stress_divergence",
     "dissipation",
@@ -80,6 +84,14 @@ def _ax_slices(axis: int):
         return (Ellipsis, s) + post
 
     return sl
+
+
+# wall slabs of each grid axis of an array whose last three axes are the
+# grid axes, any leading axes passing through: index 0, 1, -2 and -1
+_WALLS = tuple(
+    tuple((Ellipsis, pos) + (slice(None),) * (2 - axis) for pos in (0, 1, -2, -1))
+    for axis in range(3)
+)
 
 
 def _flat_operands(f: np.ndarray, axis: int, out):
@@ -111,14 +123,14 @@ def d1(grid: Grid, f: np.ndarray, axis: int, parity: int, out=None) -> np.ndarra
     mid = oo[s:-s]
     np.subtract(ff[2 * s :], ff[: -2 * s], out=mid)
     mid /= 2.0 * h
-    sl = _ax_slices(axis)
+    lo, lo1, hi1, hi = _WALLS[axis]
     if parity == EVEN:
-        out[sl(0)] = 0.0
-        out[sl(-1)] = 0.0
+        out[lo] = 0.0
+        out[hi] = 0.0
     else:
-        np.divide(f[sl(1)], h, out=out[sl(0)])
+        np.divide(f[lo1], h, out=out[lo])
         # -f/h and f/(-h) round alike
-        np.divide(f[sl(-2)], -h, out=out[sl(-1)])
+        np.divide(f[hi1], -h, out=out[hi])
     return out
 
 
@@ -137,18 +149,18 @@ def d2(grid: Grid, f: np.ndarray, axis: int, parity: int, out=None) -> np.ndarra
     np.subtract(ff[2 * s :], mid, out=mid)
     mid += ff[: -2 * s]
     mid /= h2
-    sl = _ax_slices(axis)
-    lo, hi = out[sl(0)], out[sl(-1)]
+    lo, lo1, hi1, hi = _WALLS[axis]
+    out_lo, out_hi = out[lo], out[hi]
     if parity == EVEN:
-        np.subtract(f[sl(1)], f[sl(0)], out=lo)
-        np.subtract(f[sl(-2)], f[sl(-1)], out=hi)
-        lo *= 2.0
-        hi *= 2.0
+        np.subtract(f[lo1], f[lo], out=out_lo)
+        np.subtract(f[hi1], f[hi], out=out_hi)
+        out_lo *= 2.0
+        out_hi *= 2.0
     else:
-        np.multiply(f[sl(0)], -2.0, out=lo)
-        np.multiply(f[sl(-1)], -2.0, out=hi)
-    lo /= h2
-    hi /= h2
+        np.multiply(f[lo], -2.0, out=out_lo)
+        np.multiply(f[hi], -2.0, out=out_hi)
+    out_lo /= h2
+    out_hi /= h2
     return out
 
 
@@ -167,11 +179,15 @@ def gradient(grid: Grid, f: np.ndarray, parity: int = EVEN) -> np.ndarray:
 
 
 def divergence(grid: Grid, F: np.ndarray, parity: int = ODD) -> np.ndarray:
-    """sum_j d_j F[..., j, :, :, :]; leading axes stack several fields."""
-    out = np.zeros(F.shape[:-4] + F.shape[-3:])
-    for a in grid.active_axes:
-        out += d1(grid, F[..., a, :, :, :], a, parity)
-    return out
+    """sum_j d_j F[..., j, :, :, :]; leading axes stack several fields.
+
+    One d1 per active axis writes into one buffer, whose rows a reduction
+    from +0.0 adds in order, as a zero-filled accumulator would."""
+    axes = grid.active_axes
+    terms = np.empty((len(axes),) + F.shape[:-4] + F.shape[-3:])
+    for n, a in enumerate(axes):
+        d1(grid, F[..., a, :, :, :], a, parity, out=terms[n])
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def table_curl(G: np.ndarray) -> np.ndarray:
@@ -222,12 +238,6 @@ def dissipation(law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
 
 def _is_zero_coeff(fn) -> bool:
     return isinstance(fn, Const) and fn.c == 0.0
-
-
-def coefficient(fn, theta):
-    """fn(theta); a Const gives its value as a Python float, which scales
-    an array to the same bits as a filled array would, without filling one."""
-    return fn.c if isinstance(fn, Const) else fn(theta)
 
 
 def stress_divergence(grid: Grid, law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:

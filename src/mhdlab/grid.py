@@ -59,6 +59,10 @@ class Grid:
             f[w] = 0.0
         return f
 
+    def walls_zero(self, f: np.ndarray) -> bool:
+        """Whether every wall value of f is exactly zero (either sign)."""
+        return not any(f[w].any() for w in self._walls)
+
     def wall_max(self, f: np.ndarray) -> float:
         """Largest |f| on the walls; 0 when no axis is active."""
         return max([0.0] + [float(np.max(np.abs(f[w]))) for w in self._walls])

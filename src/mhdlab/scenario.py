@@ -30,7 +30,6 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -450,6 +449,9 @@ def sweep_scenarios(config_path, outdir, *, threads: int = 1, overrides=()) -> l
     if threads <= 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
+        # imported here: loading it costs every mhdlab start-up ~16 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_worker, jobs))
 

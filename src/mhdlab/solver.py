@@ -29,10 +29,29 @@ so the result is the same to the last bit; only + - * / are restacked, and
 pow is taken on the same arrays as there.  A term that is an exact zero is
 left out of a sum only where that cannot move a bit: where the sum is
 padded with +0.0, which already fixes the sign of a zero result, or where
-it is a +0.0 being subtracted.  Operands are written straight into the
-stack slots, and the stacks, tables and the other temporaries of rhs live
-in scratch buffers that each thread keeps for its last few grid shapes, so
-a call allocates none of them.
+it is a +0.0 being subtracted.
+
+rhs is compiled.  On the first call for a (grid, law, params) in a thread,
+_compile_rhs resolves everything that depends only on that key: every view
+of the scratch stacks, the row lists, the loops over the active axes, the
+lam branch, the curl curl and stress assembly and the folded sums.  It
+emits the body as a flat list of functools.partial calls on the thread's
+scratch buffers, with every scalar taken from the key objects.  The law's
+Const, Power and Sum pieces and the heat_content and conductivity_potential
+antiderivatives become numpy calls into scratch, in the operation order of
+their closed forms (constitutive.value_steps, antideriv_steps); any other
+piece, such as a table or a user function, is a call that evaluates it and
+copies the result.  A later call copies rho, u, theta and H into the
+bound input buffers, replays the list and copies the bound output stack
+into out; sources are added after.  The stencils stay calls of
+fieldops.d1 and d2, looked up in fieldops at each replay, so a wrapper
+installed there sees them.  The key holds the grid, not only its shape,
+because two grids of one shape can differ in spacing.
+
+Scratch buffers and compiled lists live in a workspace that each thread
+keeps for its last 4 grid shapes, with the lists of its last 4 keys per
+shape, so a call allocates none of them; run() drops its grid shape's
+workspace when it returns or raises.
 
 step holds the conserved tuple, and each of its two stage rates, as one
 stack of 8 rows (rho, w, m, H), which rhs fills through its out= argument.
@@ -52,13 +71,15 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
-from .constitutive import ConstitutiveLaw, conductivity_potential, heat_content
+from . import fieldops
+from .constitutive import Const, ConstitutiveLaw, antideriv_steps, heat_content, value_steps
 from .errors import ConfigError, InvariantViolation, NumericalAbort
-from .fieldops import EVEN, ODD, _is_zero_coeff, coefficient, cross, d1, d2, divergence
+from .fieldops import EVEN, ODD, _is_zero_coeff, divergence
 from .grid import Grid
 from .projection import DivFreeProjector, projector_for
 
@@ -262,8 +283,22 @@ _RHO, _W, _M, _H = 0, 1, slice(2, 5), slice(5, 8)
 _WALLED = slice(2, 8)
 _BLOCKS = (("mass", _RHO), ("momentum", _M), ("thermal", _W), ("magnetic", _H))
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-# grid shapes whose scratch buffers a thread keeps
+# grid shapes whose scratch buffers a thread keeps, and compiled rhs
+# programs kept per grid shape
 _SHAPES_KEPT = 4
+_PROGRAMS_KEPT = 4
+
+
+def _kept(kept: dict, key, build, limit: int):
+    """kept[key], built on a miss; the dict holds its last `limit` keys,
+    most recent last."""
+    value = kept.pop(key, None)
+    if value is None:
+        value = build()
+        if len(kept) >= limit:
+            del kept[next(iter(kept))]
+    kept[key] = value
+    return value
 
 
 class _PerThread(threading.local):
@@ -281,13 +316,10 @@ class _PerThread(threading.local):
         self.kept = {}
 
     def get(self, shape: tuple) -> SimpleNamespace:
-        ws = self.kept.pop(shape, None)
-        if ws is None:
-            ws = self.build(shape)
-            if len(self.kept) >= _SHAPES_KEPT:
-                del self.kept[next(iter(self.kept))]
-        self.kept[shape] = ws  # most recent last
-        return ws
+        return _kept(self.kept, shape, lambda: self.build(shape), _SHAPES_KEPT)
+
+    def drop(self, shape: tuple) -> None:
+        self.kept.pop(shape, None)
 
 
 def _rows(idx) -> slice:
@@ -298,25 +330,31 @@ def _rows(idx) -> slice:
 
 
 def _rhs_scratch(shape: tuple) -> SimpleNamespace:
-    """Scratch buffers and table layout of rhs for one grid shape.
+    """Scratch buffers of rhs for one grid shape, and its compiled programs.
 
-    No value carries over: each call writes every slot it reads, and the
+    No value carries over: a program writes every slot it reads, and the
     columns of suppressed axes in odd_col and even_col, never written, stay
-    zero.
+    zero.  The inputs are copied into theta, odd[0:6] (u, H) and even[4]
+    (rho); a program writes its result into out.
     """
-    axes = tuple(a for a in range(3) if shape[a] > 1)
 
     def buf(*lead):
         return np.zeros(lead + shape)
 
+    odd = buf(8)  # phase 1 ODD operands: u, H, rho u_j, rho Q u_j
+    even = buf(6)  # phase 1 EVEN operands: u x H, ptot, rho, K
     return SimpleNamespace(
-        axes=axes,
-        # along j, the H rows i != j and the active axes k != j
-        h_rows={j: _rows([i for i in range(3) if i != j]) for j in axes},
-        h_slot={j: {i: s for s, i in enumerate(i for i in range(3) if i != j)} for j in axes},
-        others={j: [k for k in axes if k != j] for j in axes},
-        even=buf(9),  # EVEN d1 operands (phase 1 also keeps K for d2)
-        odd=buf(8),  # ODD d1 operands
+        programs={},
+        spare=[],  # intermediates of law pieces, allocated as programs ask
+        odd=odd,
+        even=even,
+        rho=even[4],
+        u=odd[0:3],
+        theta=buf(),
+        H=odd[3:6],
+        out=buf(8),
+        odd2=buf(6),  # phase 2 operands
+        even2=buf(9),
         odd_col=buf(3, 8),
         even_col=buf(3, 5),
         along=buf(3, 9),
@@ -341,20 +379,266 @@ def _rhs_scratch(shape: tuple) -> SimpleNamespace:
 _rhs_workspace = _PerThread(_rhs_scratch)
 
 
-def _fold(out: np.ndarray, terms, pad: bool = True) -> np.ndarray:
-    """out = terms added left to right.
+def _stencil(name: str, *args) -> None:
+    # looked up on each call, so that a wrapped fieldops.d1 or d2 sees it
+    getattr(fieldops, name)(*args)
 
-    pad=True also adds +0.0, which turns a -0.0 result into +0.0 and so
-    reproduces bit for bit a sum that had exact +0.0 terms anywhere in it:
-    a zero-filled accumulator, or the column of a suppressed axis.  Such a
-    sum is never -0.0, so any other exactly zero term can be left out of it
-    without changing a bit.
-    """
-    first, *rest = terms
-    np.add(first, 0.0 if pad else rest.pop(0), out=out)
-    for term in rest:
-        out += term
-    return out
+
+def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> list:
+    """The body of rhs as a list of calls on ws's buffers, for one grid, law
+    and scheme; every view, row list, loop and branch is resolved here."""
+    calls = []
+
+    def emit(fn, *args):
+        calls.append(partial(fn, *args))
+
+    def stencil(name, f, axis, parity, out):
+        emit(_stencil, name, grid, f, axis, parity, out)
+
+    used = 0
+
+    def scratch():
+        # a buffer no other call of this program writes; programs share them
+        nonlocal used
+        if used == len(ws.spare):
+            ws.spare.append(np.zeros(grid.shape))
+        used += 1
+        return ws.spare[used - 1]
+
+    def piece(prim, x):
+        # a Const coefficient is its float, which scales an array to the
+        # same bits as a filled array would, without filling one
+        if isinstance(prim, Const):
+            return prim.c
+        out = scratch()
+        calls.extend(value_steps(prim, x, out, scratch))
+        return out
+
+    def fold(out, terms, pad=True):
+        # out = terms added left to right.  pad=True also adds +0.0, which
+        # turns a -0.0 result into +0.0 and so reproduces bit for bit a sum
+        # that had exact +0.0 terms anywhere in it: a zero-filled
+        # accumulator, or the column of a suppressed axis.  Such a sum is
+        # never -0.0, so any other exactly zero term can be left out of it.
+        first, *rest = terms
+        emit(np.add, first, 0.0 if pad else rest.pop(0), out)
+        for term in rest:
+            emit(np.add, out, term, out)
+
+    def cross(a, b, out):
+        # fieldops.cross, component by component
+        for c, i, j in _CYCLIC:
+            emit(np.multiply, a[i], b[j], out[c])
+            emit(np.multiply, a[j], b[i], ws.tmp)
+            emit(np.subtract, out[c], ws.tmp, out[c])
+
+    eps = params.epsilon
+    delta = params.delta
+    shape = grid.shape
+    axes = grid.active_axes
+    # a sum over all three axes meets the exact zero column of a suppressed one
+    padded = len(axes) < 3
+    out = ws.out
+    drho, dw, dm, induction = out[_RHO], out[_W], out[_M], out[_H]
+    tmp, tmp3 = ws.tmp, ws.tmp3
+    odd, even, odd_col, even_col = ws.odd, ws.even, ws.odd_col, ws.even_col
+    rho, u, theta, H = ws.rho, ws.u, ws.theta, ws.H
+
+    mu = piece(law.mu, theta)
+    lam = None if _is_zero_coeff(law.lam) else piece(law.lam, theta)
+    rho_u = ws.rho_u
+    emit(np.multiply, rho, u, rho_u)
+    q = scratch()  # heat_content(law, theta)
+    calls.extend(antideriv_steps(law.c_v, theta, q, scratch))
+    rho_q = ws.rho_q
+    emit(np.multiply, rho, q, rho_q)
+    # theta p_th(rho): in the pressure and in the thermal block
+    theta_pth = ws.theta_pth
+    p_th = scratch()
+    calls.extend(value_steps(law.p_th, rho, p_th, scratch))
+    emit(np.multiply, theta, p_th, theta_pth)
+
+    # phase 1: one ODD and one EVEN d1 per axis on the state-level operands,
+    # and one d2 per axis on [rho, K].  Column j of a table holds d_j of
+    # every operand: du[i, j] = odd_col[j, i], dH[i, j] = odd_col[j, 3 + i],
+    # d_j (u x H)_i = even_col[j, i], d_j ptot = even_col[j, 3] and
+    # d_j rho = even_col[j, 4].
+    cross(u, H, even[0:3])
+    # ptot = pressure(law, rho, theta) + delta rho^beta
+    calls.extend(value_steps(law.p_e, rho, even[3], scratch))
+    emit(np.add, even[3], theta_pth, even[3])
+    emit(np.power, rho, params.beta, tmp)
+    emit(np.multiply, tmp, delta, tmp)
+    emit(np.add, even[3], tmp, even[3])
+    # even[5] = conductivity_potential(law, theta)
+    calls.extend(antideriv_steps(law.kappa, theta, even[5], scratch))
+    for j in axes:
+        emit(np.copyto, odd[6], rho_u[j])
+        emit(np.multiply, rho_q, u[j], odd[7])
+        stencil("d1", odd, j, ODD, odd_col[j])
+        stencil("d1", even[:5], j, EVEN, even_col[j])
+    lap = ws.lap  # lap rho, lap K
+    for n, j in enumerate(axes):
+        if n:
+            stencil("d2", even[4:], j, EVEN, tmp3[:2])
+            emit(np.add, lap, tmp3[:2], lap)
+        else:
+            stencil("d2", even[4:], j, EVEN, lap)
+            emit(np.add, lap, 0.0, lap)
+    flux_div = ws.flux_div  # div(rho u), div(rho Q u)
+    fold(flux_div, [odd_col[j, 6:8] for j in axes])
+    divu = ws.divu
+    fold(divu, [odd_col[j, j] for j in axes], padded)
+
+    curl_H = ws.curl_H
+    for c, i, j in _CYCLIC:
+        emit(np.subtract, odd_col[i, 3 + j], odd_col[j, 3 + i], curl_H[c])
+        emit(np.subtract, even_col[i, j], even_col[j, i], induction[c])
+
+    # phase 2: one EVEN and one ODD d1 per axis on the table-level operands
+    # that feed a term.  Along axis j, d_j F_i is EVEN and d_k F_j is ODD
+    # (k != j) for F = u, H; rho u_i u_j is EVEN; lam du[k, k] is EVEN along
+    # k and ODD across it.  With the H rows i != j and the active k != j:
+    #   along[j]  = d_j [dH[i, j], mu du[:, j], rho u u_j, lam du[j, j]]
+    #   across[j] = d_j [dH[j, k], mu du[j, k], lam du[k, k]]
+    # d_j d_j H_j, and d_j of the exact zeros d_k F for a suppressed k, feed
+    # no term and are not taken; a 1D grid has no ODD pass.
+    others = {j: [k for k in axes if k != j] for j in axes}
+    h_slot = {j: [i for i in range(3) if i != j] for j in axes}
+    n_other = len(axes) - 1
+    n_even = 8 if lam is None else 9
+    n_odd = (2 if lam is None else 3) * n_other
+    even2, odd2 = ws.even2[:n_even], ws.odd2[:n_odd]
+    along, across = ws.along, ws.across
+    for j in axes:
+        emit(np.copyto, even2[0:2], odd_col[j, 3:][_rows(h_slot[j])])
+        emit(np.multiply, mu, odd_col[j, 0:3], even2[2:5])
+        emit(np.multiply, rho_u, u[j], even2[5:8])
+        if lam is not None:
+            emit(np.multiply, lam, odd_col[j, j], even2[8])
+        stencil("d1", even2, j, EVEN, along[j, :n_even])
+        if n_other:
+            for s, k in enumerate(others[j]):
+                emit(np.copyto, odd2[s], odd_col[k, 3 + j])
+                emit(np.multiply, mu, odd_col[k, j], odd2[n_other + s])
+                if lam is not None:
+                    emit(np.multiply, lam, odd_col[k, k], odd2[2 * n_other + s])
+            stencil("d1", odd2, j, ODD, across[j, :n_odd])
+
+    def dd_along(a, c):  # d_a d_a H_c, None for a suppressed a
+        return along[a, h_slot[a].index(c)] if a in axes else None
+
+    def dd_across(a, c):  # d_a d_c H_a, None for a suppressed a or c
+        if c not in others.get(a, ()):
+            return None
+        return across[a, others[a].index(c)]
+
+    # magnetic: curl(u x H) - nu curl(curl H), where (curl curl H)_c =
+    # d_a d_c H_a - d_a d_a H_c - d_b d_b H_c + d_b d_c H_b.  The terms of a
+    # suppressed axis are exact zeros: subtracted, a +0.0 changes nothing;
+    # added, it turns -0.0 into +0.0, which is kept below where it can occur.
+    # d_a d_c H_a of a suppressed c is -0.0 on the high wall of a, so a 2D
+    # sum without it reads +0.0 for -0.0 on one corner, where induction is
+    # +0.0 minus it: +0.0 either way.
+    curl_curl = tmp3
+    rows = []
+    for c, a, b in _CYCLIC:
+        ta, tb = dd_across(a, c), dd_across(b, c)
+        subtracted = [t for t in (dd_along(a, c), dd_along(b, c)) if t is not None]
+        if not subtracted:
+            continue  # all four terms are +0.0
+        emit(np.subtract, 0.0 if ta is None else ta, subtracted[0], curl_curl[c])
+        for term in subtracted[1:]:
+            emit(np.subtract, curl_curl[c], term, curl_curl[c])
+        if tb is not None:
+            emit(np.add, curl_curl[c], tb, curl_curl[c])
+        elif ta is not None:
+            emit(np.add, curl_curl[c], 0.0, curl_curl[c])
+        rows.append(c)
+    rows = _rows(rows)
+    emit(np.multiply, curl_curl[rows], law.nu, curl_curl[rows])
+    emit(np.subtract, induction[rows], curl_curl[rows], induction[rows])
+
+    # momentum: -div(rho u x u) - grad(p + delta rho^beta)
+    #           - eps (grad u) grad rho + (curl H) x H + div psi
+    # div psi: d_j [mu d_j u_i] is EVEN along j and d_j [mu d_i u_j] ODD for
+    # i != j, so the i = j entry comes from the EVEN pass; the entries of a
+    # suppressed i are exact zeros, left out of the padded sum
+    stress = ws.stress
+    for n, j in enumerate(axes):
+        if n:
+            emit(np.add, stress, along[j, 2:5], stress)
+        else:
+            emit(np.add, along[j, 2:5], 0.0, stress)
+        emit(np.add, stress[j], along[j, 2 + j], stress[j])
+        for s, k in enumerate(others[j]):
+            emit(np.add, stress[k], across[j, n_other + s], stress[k])
+    if lam is not None:
+        for i in axes:
+            for k in axes:
+                if k == i:
+                    term = along[i, 8]
+                else:
+                    term = across[i, 2 * n_other + others[i].index(k)]
+                emit(np.add, stress[i], term, stress[i])
+    fold(dm, [along[j, 5:8] for j in axes])
+    emit(np.negative, dm, dm)
+    for j in axes:
+        emit(np.subtract, dm[j], even_col[j, 3], dm[j])
+    eps_force = ws.eps_force
+    for n, j in enumerate(axes):
+        if n:
+            emit(np.multiply, odd_col[j, 0:3], even_col[j, 4], tmp3)
+            emit(np.add, eps_force, tmp3, eps_force)
+        else:
+            emit(np.multiply, odd_col[j, 0:3], even_col[j, 4], eps_force)
+            if padded:
+                emit(np.add, eps_force, 0.0, eps_force)
+    emit(np.multiply, eps_force, eps, eps_force)
+    emit(np.subtract, dm, eps_force, dm)
+    cross(curl_H, H, tmp3)
+    emit(np.add, dm, tmp3, dm)
+    emit(np.add, dm, stress, dm)
+
+    # thermal: -div(rho Q u) + lap K - delta theta^(alpha+1)
+    #          + (1-delta)(nu |curl H|^2 + psi:grad u) - theta p_th div u
+    # psi:grad u = (mu/2) sum_ij (d_i u_j + d_j u_i)^2 + lam (div u)^2.  The
+    # squares are never -0.0, so the exact zeros of pairs of suppressed axes
+    # change no bit of the sum.  A reduction over the leading axis of a
+    # C-contiguous stack adds its rows in order, as a loop would.
+    sym = ws.sym
+    emit(np.add, odd_col[:, 0:3], odd_col[:, 0:3].swapaxes(0, 1), sym)
+    emit(np.multiply, sym, sym, sym)
+    diss = ws.diss
+    calls.append(partial(np.add.reduce, sym.reshape((9,) + shape), axis=0, out=diss))
+    if isinstance(mu, float):
+        emit(np.multiply, diss, 0.5 * mu, diss)
+    else:
+        half_mu = scratch()
+        emit(np.multiply, mu, 0.5, half_mu)
+        emit(np.multiply, diss, half_mu, diss)
+    if lam is not None:
+        emit(np.multiply, lam, divu, tmp)
+        emit(np.multiply, tmp, divu, tmp)
+        emit(np.add, diss, tmp, diss)
+    emit(np.multiply, curl_H, curl_H, tmp3)
+    heating = ws.heating
+    calls.append(partial(np.add.reduce, tmp3, axis=0, out=heating))
+    emit(np.multiply, heating, law.nu, heating)
+    emit(np.add, heating, diss, heating)
+    emit(np.multiply, heating, 1.0 - delta, heating)
+    emit(np.subtract, ws.lap[1], flux_div[1], dw)
+    emit(np.power, theta, law.alpha + 1.0, tmp)
+    emit(np.multiply, tmp, delta, tmp)
+    emit(np.subtract, dw, tmp, dw)
+    emit(np.add, dw, heating, dw)
+    emit(np.multiply, theta_pth, divu, tmp)
+    emit(np.subtract, dw, tmp, dw)
+
+    # mass: -div(rho u) + eps lap(rho)
+    emit(np.multiply, lap[0], eps, drho)
+    emit(np.subtract, drho, flux_div[0], drho)
+    return calls
 
 
 def rhs(
@@ -378,198 +662,29 @@ def rhs(
     (8, *grid.shape) with rows rho, w, m, H, into which the blocks are
     written; the returned blocks are views of it.
     """
-    eps = params.epsilon
-    delta = params.delta
-    shape = grid.shape
-    ws = _rhs_workspace.get(shape)
-    axes = ws.axes
-    # a sum over all three axes meets the exact zero column of a suppressed one
-    padded = len(axes) < 3
+    ws = _rhs_workspace.get(grid.shape)
+    program = _kept(
+        ws.programs,
+        (grid, law, params),
+        lambda: _compile_rhs(grid, law, params, ws),
+        _PROGRAMS_KEPT,
+    )
+    np.copyto(ws.rho, rho)
+    np.copyto(ws.u, u)
+    np.copyto(ws.theta, theta)
+    np.copyto(ws.H, H)
+    for call in program:
+        call()
     if out is None:
-        out = np.empty((8,) + shape)
-    drho, dw, dm, induction = out[_RHO], out[_W], out[_M], out[_H]
-    tmp, tmp3 = ws.tmp, ws.tmp3
-    mu = coefficient(law.mu, theta)
-    lam = None if _is_zero_coeff(law.lam) else coefficient(law.lam, theta)
-    rho_u = np.multiply(rho, u, out=ws.rho_u)
-    rho_q = np.multiply(rho, heat_content(law, theta), out=ws.rho_q)
-    # theta p_th(rho): in the pressure and in the thermal block
-    theta_pth = np.multiply(theta, law.p_th(rho), out=ws.theta_pth)
-
-    # phase 1: one ODD and one EVEN d1 per axis on the state-level operands,
-    # and one d2 per axis on [rho, K].  Column j of a table holds d_j of
-    # every operand: du[i, j] = odd_col[j, i], dH[i, j] = odd_col[j, 3 + i],
-    # d_j (u x H)_i = even_col[j, i], d_j ptot = even_col[j, 3] and
-    # d_j rho = even_col[j, 4].
-    odd = ws.odd  # u, H, rho u_j, rho Q u_j
-    even = ws.even[:6]  # u x H, ptot, rho, K
-    odd_col, even_col = ws.odd_col, ws.even_col
-    odd[0:3] = u
-    odd[3:6] = H
-    cross(u, H, out=even[0:3])
-    # ptot = pressure(law, rho, theta) + delta rho^beta
-    np.add(law.p_e(rho), theta_pth, out=even[3])
-    np.power(rho, params.beta, out=tmp)
-    tmp *= delta
-    even[3] += tmp
-    even[4] = rho
-    even[5] = conductivity_potential(law, theta)
-    for j in axes:
-        np.copyto(odd[6], rho_u[j])
-        np.multiply(rho_q, u[j], out=odd[7])
-        d1(grid, odd, j, ODD, out=odd_col[j])
-        d1(grid, even[:5], j, EVEN, out=even_col[j])
-    lap = ws.lap  # lap rho, lap K
-    for n, j in enumerate(axes):
-        if n:
-            lap += d2(grid, even[4:], j, EVEN, out=tmp3[:2])
-        else:
-            d2(grid, even[4:], j, EVEN, out=lap)
-            lap += 0.0
-    flux_div = _fold(ws.flux_div, [odd_col[j, 6:8] for j in axes])  # div(rho u), div(rho Q u)
-    divu = _fold(ws.divu, [odd_col[j, j] for j in axes], padded)
-
-    curl_H = ws.curl_H
-    for c, i, j in _CYCLIC:
-        np.subtract(odd_col[i, 3 + j], odd_col[j, 3 + i], out=curl_H[c])
-        np.subtract(even_col[i, j], even_col[j, i], out=induction[c])
-
-    # phase 2: one EVEN and one ODD d1 per axis on the table-level operands
-    # that feed a term.  Along axis j, d_j F_i is EVEN and d_k F_j is ODD
-    # (k != j) for F = u, H; rho u_i u_j is EVEN; lam du[k, k] is EVEN along
-    # k and ODD across it.  With the H rows i != j and the active k != j:
-    #   along[j]  = d_j [dH[i, j], mu du[:, j], rho u u_j, lam du[j, j]]
-    #   across[j] = d_j [dH[j, k], mu du[j, k], lam du[k, k]]
-    # d_j d_j H_j, and d_j of the exact zeros d_k F for a suppressed k, feed
-    # no term and are not taken; a 1D grid has no ODD pass.
-    n_other = len(axes) - 1
-    n_even = 8 if lam is None else 9
-    n_odd = (2 if lam is None else 3) * n_other
-    even, odd = ws.even[:n_even], ws.odd[:n_odd]
-    along, across = ws.along, ws.across
-    for j in axes:
-        even[0:2] = odd_col[j, 3:][ws.h_rows[j]]
-        np.multiply(mu, odd_col[j, 0:3], out=even[2:5])
-        np.multiply(rho_u, u[j], out=even[5:8])
-        if lam is not None:
-            np.multiply(lam, odd_col[j, j], out=even[8])
-        d1(grid, even, j, EVEN, out=along[j, :n_even])
-        if n_other:
-            for s, k in enumerate(ws.others[j]):
-                odd[s] = odd_col[k, 3 + j]
-                np.multiply(mu, odd_col[k, j], out=odd[n_other + s])
-                if lam is not None:
-                    np.multiply(lam, odd_col[k, k], out=odd[2 * n_other + s])
-            d1(grid, odd, j, ODD, out=across[j, :n_odd])
-
-    def dd_along(a, c):  # d_a d_a H_c, None for a suppressed a
-        return along[a, ws.h_slot[a][c]] if a in axes else None
-
-    def dd_across(a, c):  # d_a d_c H_a, None for a suppressed a or c
-        others = ws.others.get(a, ())
-        return across[a, others.index(c)] if c in others else None
-
-    # magnetic: curl(u x H) - nu curl(curl H), where (curl curl H)_c =
-    # d_a d_c H_a - d_a d_a H_c - d_b d_b H_c + d_b d_c H_b.  The terms of a
-    # suppressed axis are exact zeros: subtracted, a +0.0 changes nothing;
-    # added, it turns -0.0 into +0.0, which is kept below where it can occur.
-    # d_a d_c H_a of a suppressed c is -0.0 on the high wall of a, so a 2D
-    # sum without it reads +0.0 for -0.0 on one corner, where induction is
-    # +0.0 minus it: +0.0 either way.
-    curl_curl = tmp3
-    rows = []
-    for c, a, b in _CYCLIC:
-        ta, tb = dd_across(a, c), dd_across(b, c)
-        subtracted = [t for t in (dd_along(a, c), dd_along(b, c)) if t is not None]
-        if not subtracted:
-            continue  # all four terms are +0.0
-        np.subtract(0.0 if ta is None else ta, subtracted[0], out=curl_curl[c])
-        for term in subtracted[1:]:
-            curl_curl[c] -= term
-        if tb is not None:
-            curl_curl[c] += tb
-        elif ta is not None:
-            curl_curl[c] += 0.0
-        rows.append(c)
-    rows = _rows(rows)
-    curl_curl[rows] *= law.nu
-    induction[rows] -= curl_curl[rows]
-
-    # momentum: -div(rho u x u) - grad(p + delta rho^beta)
-    #           - eps (grad u) grad rho + (curl H) x H + div psi
-    # div psi: d_j [mu d_j u_i] is EVEN along j and d_j [mu d_i u_j] ODD for
-    # i != j, so the i = j entry comes from the EVEN pass; the entries of a
-    # suppressed i are exact zeros, left out of the padded sum
-    stress = ws.stress
-    for n, j in enumerate(axes):
-        if n:
-            stress += along[j, 2:5]
-        else:
-            np.add(along[j, 2:5], 0.0, out=stress)
-        stress[j] += along[j, 2 + j]
-        for s, k in enumerate(ws.others[j]):
-            stress[k] += across[j, n_other + s]
-    if lam is not None:
-        for i in axes:
-            for k in axes:
-                if k == i:
-                    stress[i] += along[i, 8]
-                else:
-                    stress[i] += across[i, 2 * n_other + ws.others[i].index(k)]
-    _fold(dm, [along[j, 5:8] for j in axes])
-    np.negative(dm, out=dm)
-    for j in axes:
-        dm[j] -= even_col[j, 3]
-    eps_force = ws.eps_force
-    for n, j in enumerate(axes):
-        if n:
-            eps_force += np.multiply(odd_col[j, 0:3], even_col[j, 4], out=tmp3)
-        else:
-            np.multiply(odd_col[j, 0:3], even_col[j, 4], out=eps_force)
-            if padded:
-                eps_force += 0.0
-    eps_force *= eps
-    dm -= eps_force
-    dm += cross(curl_H, H, out=tmp3)
-    dm += stress
-
-    # thermal: -div(rho Q u) + lap K - delta theta^(alpha+1)
-    #          + (1-delta)(nu |curl H|^2 + psi:grad u) - theta p_th div u
-    # psi:grad u = (mu/2) sum_ij (d_i u_j + d_j u_i)^2 + lam (div u)^2.  The
-    # squares are never -0.0, so the exact zeros of pairs of suppressed axes
-    # change no bit of the sum.  A reduction over the leading axis of a
-    # C-contiguous stack adds its rows in order, as a loop would.
-    sym = ws.sym
-    np.add(odd_col[:, 0:3], odd_col[:, 0:3].swapaxes(0, 1), out=sym)
-    np.multiply(sym, sym, out=sym)
-    diss = np.add.reduce(sym.reshape((9,) + shape), axis=0, out=ws.diss)
-    diss *= 0.5 * mu
-    if lam is not None:
-        np.multiply(lam, divu, out=tmp)
-        tmp *= divu
-        diss += tmp
-    np.multiply(curl_H, curl_H, out=tmp3)
-    heating = np.add.reduce(tmp3, axis=0, out=ws.heating)
-    heating *= law.nu
-    heating += diss
-    heating *= 1.0 - delta
-    np.subtract(lap[1], flux_div[1], out=dw)
-    np.power(theta, law.alpha + 1.0, out=tmp)
-    tmp *= delta
-    dw -= tmp
-    dw += heating
-    np.multiply(theta_pth, divu, out=tmp)
-    dw -= tmp
-
-    # mass: -div(rho u) + eps lap(rho)
-    np.multiply(lap[0], eps, out=drho)
-    drho -= flux_div[0]
-
+        out = ws.out.copy()
+    else:
+        np.copyto(out, ws.out)
+    blocks = out[_RHO], out[_M], out[_W], out[_H]
     if sources is not None:
-        for block, source in zip((drho, dm, dw, induction), sources(t)):
+        for block, source in zip(blocks, sources(t)):
             if source is not None:
                 block += source
-    return drho, dm, dw, induction
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +701,9 @@ def stable_dt(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: Sta
     """
     h = min(grid.spacing_active)
     d = grid.ndim_active
-    speed = float(np.max(np.sum(state.u * state.u, axis=0))) ** 0.5
-    rho_min = float(np.min(state.rho))
-    theta_max = float(np.max(state.theta))
+    speed = float((state.u * state.u).sum(axis=0).max()) ** 0.5
+    rho_min = float(state.rho.min())
+    theta_max = float(state.theta.max())
     if not rho_min > 0.0:
         raise InvariantViolation(f"density positivity lost: min rho = {rho_min:.6g}")
     cv_lo = law.bounds.cv_lo
@@ -618,7 +733,7 @@ def stable_dt(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: Sta
 def _recover(law, params, x, incidents: IncidentLog, stage: str, t: float):
     """Primitives from a conserved stack, with guarded division and floors."""
     rho, m, w = x[_RHO], x[_M], x[_W]
-    rho_min = float(np.min(rho))
+    rho_min = float(rho.min())
     if not rho_min > 0.0:
         raise InvariantViolation(
             f"density positivity lost ({stage}, t={t:.6g}): min rho = {rho_min:.6g}"
@@ -631,7 +746,7 @@ def _recover(law, params, x, incidents: IncidentLog, stage: str, t: float):
         u = m / rho
 
     q = w / (rho + params.delta)
-    q_min = float(np.min(q))
+    q_min = float(q.min())
     if q_min < 0.0:
         scale = max(float(np.max(np.abs(q))), 1e-300)
         if q_min < -1e-12 * scale:
@@ -788,45 +903,50 @@ def run(
         if observer is not None:
             observer(step_idx, state, incidents)
 
-    emit(0)
-    last_emitted = 0
-    steps = 0
-    t_stop = T - 1e-12 * max(abs(T), 1.0)
-    while state.t < t_stop:
-        limit = stable_dt(grid, law, params, state)
-        dt = limit if params.dt is None else params.dt
-        cut = T - state.t < dt
-        dt = min(dt, T - state.t)
-        state = step(
-            grid,
-            law,
-            params,
-            state,
-            dt,
-            projector=projector,
-            sources=sources,
-            incidents=incidents,
-            dt_limit=limit,
-        )
-        steps += 1
-        if not cut:
-            result.dt_min = min(result.dt_min, dt)
-        result.dt_max = max(result.dt_max, dt)
-        result.dt_last = dt
-        while pending_snaps and state.t >= pending_snaps[0] - 1e-12:
-            result.snapshots.append(state.copy())
-            pending_snaps.pop(0)
-        if steps % record_every == 0 or state.t >= t_stop:
-            emit(steps)
-            last_emitted = steps
-        if steps >= max_steps:
-            raise NumericalAbort(
-                f"step budget exhausted after {steps} steps at t={state.t:.6g} < {T}"
+    try:
+        emit(0)
+        last_emitted = 0
+        steps = 0
+        t_stop = T - 1e-12 * max(abs(T), 1.0)
+        while state.t < t_stop:
+            limit = stable_dt(grid, law, params, state)
+            dt = limit if params.dt is None else params.dt
+            cut = T - state.t < dt
+            dt = min(dt, T - state.t)
+            state = step(
+                grid,
+                law,
+                params,
+                state,
+                dt,
+                projector=projector,
+                sources=sources,
+                incidents=incidents,
+                dt_limit=limit,
             )
-    if last_emitted != steps:
-        emit(steps)
-    if result.dt_min == math.inf:
-        result.dt_min = result.dt_last
-    result.final_state = state
-    result.steps = steps
-    return result
+            steps += 1
+            if not cut:
+                result.dt_min = min(result.dt_min, dt)
+            result.dt_max = max(result.dt_max, dt)
+            result.dt_last = dt
+            while pending_snaps and state.t >= pending_snaps[0] - 1e-12:
+                result.snapshots.append(state.copy())
+                pending_snaps.pop(0)
+            if steps % record_every == 0 or state.t >= t_stop:
+                emit(steps)
+                last_emitted = steps
+            if steps >= max_steps:
+                raise NumericalAbort(
+                    f"step budget exhausted after {steps} steps at t={state.t:.6g} < {T}"
+                )
+        if last_emitted != steps:
+            emit(steps)
+        if result.dt_min == math.inf:
+            result.dt_min = result.dt_last
+        result.final_state = state
+        result.steps = steps
+        return result
+    finally:
+        # the thread's scratch of this grid, its rhs programs with it
+        _rhs_workspace.drop(grid.shape)
+        _step_workspace.drop(grid.shape)

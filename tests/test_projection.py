@@ -107,6 +107,25 @@ def test_projection_rejects_nonzero_walls():
         DivFreeProjector(g).project(H)
 
 
+@pytest.mark.parametrize("shape", [(33, 1, 1), (17, 15, 1)])
+def test_rounding_level_wall_values_are_swept_and_larger_ones_raise(shape):
+    from mhdlab.errors import InvariantViolation
+
+    g = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
+    proj = DivFreeProjector(g)
+    H = _rand_field(g, seed=5)
+    want = proj.project(H)
+    scale = float(np.max(np.abs(H)))
+    for wall in (1e-13 * scale, -0.0):
+        swept = H.copy()
+        swept[1, -1, 0, 0] = wall
+        out = proj.project(swept)
+        assert out.tobytes() == want.tobytes()  # the wall value is +0.0
+    H[1, -1, 0, 0] = 1e-11 * scale
+    with pytest.raises(InvariantViolation, match="nonzero wall values"):
+        proj.project(H)
+
+
 def test_adjoint_consistency():
     # <D F, s> == <F, D^T s> in the plain dot product the solver uses
     g = Grid(shape=(20, 14, 1), extents=(1.0, 1.0, 1.0))

@@ -12,12 +12,16 @@ else (clamp bounds, stability limits) is frozen from hand arithmetic.
 
 import gc
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mhdlab import fieldops
 from mhdlab.constitutive import (
+    Const,
+    Power,
+    Sum,
     Tabulated,
     conductivity_potential,
     heat_content,
@@ -340,6 +344,33 @@ def test_rhs_bitwise_matches_reference_with_mms_sources():
         )
 
 
+def test_compiled_rhs_follows_its_key():
+    # rhs keeps its compiled programs per (grid, law, params) in one
+    # thread's workspace of a grid shape: a change of spacing, of a scheme
+    # weight or of the law must give the reference bits, on the compiling
+    # call and on the replay that follows it
+    shape = (9, 7, 1)
+    grids = [Grid(shape=shape, extents=(1.0, 1.3, 1.0)), Grid(shape=shape, extents=(2.0, 0.7, 1.0))]
+    params = [SchemeParams(epsilon=0.05, delta=0.1), SchemeParams(epsilon=0.2, delta=0.1)]
+    laws = [
+        make_standard_law(lam0=0.3, p_th=lambda rho: 0.5 * rho),
+        replace(
+            make_standard_law(),
+            mu=Sum(Const(0.2), Power(0.1, 1.5)),
+            lam=Power(0.05, 2.0),
+            p_th=Const(0.7),
+            kappa=Sum(Const(0.3), Power(0.2, 3.0), Const(0.1)),
+        ),
+    ]
+    fields, _ = _random_state(grids[0], 7, True)
+    for grid in grids:
+        for law in laws:
+            for p in params:
+                want = _reference_rhs(grid, law, p, *fields)
+                for _ in range(2):
+                    _assert_bitwise(rhs(grid, law, p, *fields), want)
+
+
 def _in_threads(work, n):
     """Run work(i) for i < n in n threads, switching between them often."""
     import threading
@@ -492,6 +523,12 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
     # phase 1: one ODD and one EVEN d1 per active axis, then one d2 per axis
     # on [rho, K]; phase 2: one EVEN d1 per axis and, where other axes are
     # active, one ODD d1 on their operands alone
+    grid = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
+    fields, _ = _random_state(grid, 3, False)
+    law, params = make_standard_law(lam0=lam0), SchemeParams(epsilon=0.05, delta=0.1)
+    # compiled before the stencils are wrapped
+    compiled = SchemeParams(epsilon=0.06, delta=0.1)
+    rhs(grid, law, compiled, *fields)
     calls = []
     for name in ("d1", "d2"):
         fn = getattr(fieldops, name)
@@ -503,9 +540,7 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("mhdlab") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted)
-    grid = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
-    fields, _ = _random_state(grid, 3, False)
-    rhs(grid, make_standard_law(lam0=lam0), SchemeParams(epsilon=0.05, delta=0.1), *fields)
+    rhs(grid, law, params, *fields)
     n = grid.ndim_active
     lam = lam0 > 0.0
     phase1 = [("d1", ODD, 8), ("d1", EVEN, 5)] * n + [("d2", EVEN, 2)] * n
@@ -514,6 +549,13 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
         phase2.append(("d1", ODD, (3 if lam else 2) * (n - 1)))
     assert calls == phase1 + phase2 * n
     assert [c[0] for c in calls].count("d1") == {1: 3, 2: 8, 3: 12}[n]
+    # a replayed program calls the stencils through fieldops too, also one
+    # compiled before they were wrapped
+    first = calls[:]
+    for p in (params, compiled):
+        calls.clear()
+        rhs(grid, law, p, *fields)
+        assert calls == first
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +806,36 @@ def test_dt_min_leaves_out_the_step_cut_to_land_on_t_end(t_end, steps, dt_min, d
     assert res.steps == steps
     assert res.dt_min == dt_min
     assert res.dt_last == pytest.approx(dt_last, rel=1e-12)
+
+
+def test_run_frees_its_scratch_on_return_and_on_failure():
+    from mhdlab import solver
+
+    grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.0, 1.0))
+    law = make_standard_law()
+    params = SchemeParams(epsilon=0.05, delta=0.1, dt=1e-4, t_end=3e-4)
+    state = _smooth_state(grid, law, params)
+    held = []
+
+    def holds():
+        kept = (solver._rhs_workspace.kept, solver._step_workspace.kept)
+        return [grid.shape in k for k in kept]
+
+    run(grid, law, params, state, record_every=1, observer=lambda *_: held.append(holds()))
+    assert held[1:] == [[True, True]] * 3
+    assert holds() == [False, False]
+
+    sink = np.full(grid.shape, -1e5)
+
+    def sources(t):  # drains the mass in the first stage
+        held.append(holds())
+        return (sink, None, None, None)
+
+    held.clear()
+    with pytest.raises(InvariantViolation, match="density positivity lost"):
+        run(grid, law, params, state, sources=sources)
+    assert held == [[True, True]]
+    assert holds() == [False, False]
 
 
 def test_incident_log_totals():
