@@ -27,7 +27,6 @@ K_h has no elementary form and is read from a dense cumulative Simpson table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -344,65 +343,6 @@ def heat_content(law: ConstitutiveLaw, theta):
 def conductivity_potential(law: ConstitutiveLaw, theta):
     """K(theta) = int_0^theta kappa(s) ds."""
     return _antideriv_from_zero(law.kappa, theta)
-
-
-# ---------------------------------------------------------------------------
-# the same values as calls into bound buffers
-# ---------------------------------------------------------------------------
-#
-# value_steps and antideriv_steps return a list of functools.partial calls
-# on bound arrays that write prim(x), or int_0^x prim, into out.  Const,
-# Power and Sum take the numpy operations of their closed forms above, in
-# order, so each result has their bits; scratch() hands out a buffer of x's
-# shape for an intermediate.  solver.rhs compiles its law pieces this way.
-
-
-def _call_into(fn, x, out):
-    np.copyto(out, fn(x))
-
-
-def _sum_steps(term_steps, terms, x, out, scratch) -> list:
-    """sum(term(x) for term in terms): the sum starts from the int 0, which
-    turns a -0.0 first term into +0.0."""
-    if not terms:
-        return [partial(np.copyto, out, 0.0)]
-    steps = term_steps(terms[0], x, out, scratch) + [partial(np.add, out, 0, out)]
-    if len(terms) > 1:
-        t = scratch()
-        for term in terms[1:]:
-            steps += term_steps(term, x, t, scratch)
-            steps.append(partial(np.add, out, t, out))
-    return steps
-
-
-def value_steps(prim, x, out, scratch) -> list:
-    """prim(x) into out; a piece outside Const/Power/Sum, such as a table or
-    a user function, is one call that evaluates it and copies the result."""
-    if isinstance(prim, Const):
-        return [partial(np.copyto, out, prim.c)]
-    if isinstance(prim, Power):
-        return [partial(np.power, x, prim.expo, out), partial(np.multiply, out, prim.coef, out)]
-    if isinstance(prim, Sum):
-        return _sum_steps(value_steps, prim.terms, x, out, scratch)
-    return [partial(_call_into, prim, x, out)]
-
-
-def antideriv_steps(prim, x, out, scratch) -> list:
-    """_antideriv_from_zero(prim, x) into out, with its errors."""
-    if isinstance(prim, Const):
-        return [partial(np.multiply, x, prim.c, out)]
-    if isinstance(prim, Power):
-        e = prim.expo + 1.0
-        if e <= 0:
-            raise ValueError(f"non-integrable power {prim.expo} at zero")
-        return [
-            partial(np.power, x, e, out),
-            partial(np.multiply, out, prim.coef, out),
-            partial(np.divide, out, e, out),
-        ]
-    if isinstance(prim, Sum):
-        return _sum_steps(antideriv_steps, prim.terms, x, out, scratch)
-    raise TypeError(f"no closed form for {prim!r}")
 
 
 def pressure(law: ConstitutiveLaw, rho, theta):

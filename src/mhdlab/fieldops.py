@@ -88,10 +88,7 @@ def _ax_slices(axis: int):
 
 # wall slabs of each grid axis of an array whose last three axes are the
 # grid axes, any leading axes passing through: index 0, 1, -2 and -1
-_WALLS = tuple(
-    tuple((Ellipsis, pos) + (slice(None),) * (2 - axis) for pos in (0, 1, -2, -1))
-    for axis in range(3)
-)
+_WALLS = tuple(tuple(map(_ax_slices(axis), (0, 1, -2, -1))) for axis in range(3))
 
 
 def _flat_operands(f: np.ndarray, axis: int, out):

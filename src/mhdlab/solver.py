@@ -36,16 +36,14 @@ _compile_rhs resolves everything that depends only on that key: every view
 of the scratch stacks, the row lists, the loops over the active axes, the
 lam branch, the curl curl and stress assembly and the folded sums.  It
 emits the body as a flat list of functools.partial calls on the thread's
-scratch buffers, with every scalar taken from the key objects.  The law's
-Const, Power and Sum pieces and the heat_content and conductivity_potential
-antiderivatives become numpy calls into scratch, in the operation order of
-their closed forms (constitutive.value_steps, antideriv_steps); any other
-piece, such as a table or a user function, is a call that evaluates it and
-copies the result.  A later call copies rho, u, theta and H into the
-bound input buffers, replays the list and copies the bound output stack
-into out; sources are added after.  The stencils stay calls of
-fieldops.d1 and d2, looked up in fieldops at each replay, so a wrapper
-installed there sees them.  The key holds the grid, not only its shape,
+scratch buffers, with every scalar taken from the key objects.  A law
+piece that is not a Const coefficient (mu, lam, p_e, p_th), and each of
+heat_content and conductivity_potential, stays one call of the law's own
+function, whose result is copied into scratch.  A later call copies rho,
+u, theta and H into the bound input buffers, replays the list and copies
+the bound output stack into out; sources are added after.  The stencils
+stay calls of fieldops.d1 and d2, looked up in fieldops at each replay, so
+a wrapper installed there sees them.  The key holds the grid, not only its shape,
 because two grids of one shape can differ in spacing.
 
 Scratch buffers and compiled lists live in a workspace that each thread
@@ -77,7 +75,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fieldops
-from .constitutive import Const, ConstitutiveLaw, antideriv_steps, heat_content, value_steps
+from .constitutive import Const, ConstitutiveLaw, conductivity_potential, heat_content
 from .errors import ConfigError, InvariantViolation, NumericalAbort
 from .fieldops import EVEN, ODD, _is_zero_coeff, divergence
 from .grid import Grid
@@ -384,6 +382,10 @@ def _stencil(name: str, *args) -> None:
     getattr(fieldops, name)(*args)
 
 
+def _call_into(fn, x, out) -> None:
+    np.copyto(out, fn(x))
+
+
 def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> list:
     """The body of rhs as a list of calls on ws's buffers, for one grid, law
     and scheme; every view, row list, loop and branch is resolved here."""
@@ -411,7 +413,7 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
         if isinstance(prim, Const):
             return prim.c
         out = scratch()
-        calls.extend(value_steps(prim, x, out, scratch))
+        emit(_call_into, prim, x, out)
         return out
 
     def fold(out, terms, pad=True):
@@ -448,14 +450,14 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     lam = None if _is_zero_coeff(law.lam) else piece(law.lam, theta)
     rho_u = ws.rho_u
     emit(np.multiply, rho, u, rho_u)
-    q = scratch()  # heat_content(law, theta)
-    calls.extend(antideriv_steps(law.c_v, theta, q, scratch))
+    q = scratch()
+    emit(_call_into, partial(heat_content, law), theta, q)
     rho_q = ws.rho_q
     emit(np.multiply, rho, q, rho_q)
     # theta p_th(rho): in the pressure and in the thermal block
     theta_pth = ws.theta_pth
     p_th = scratch()
-    calls.extend(value_steps(law.p_th, rho, p_th, scratch))
+    emit(_call_into, law.p_th, rho, p_th)
     emit(np.multiply, theta, p_th, theta_pth)
 
     # phase 1: one ODD and one EVEN d1 per axis on the state-level operands,
@@ -465,13 +467,12 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     # d_j rho = even_col[j, 4].
     cross(u, H, even[0:3])
     # ptot = pressure(law, rho, theta) + delta rho^beta
-    calls.extend(value_steps(law.p_e, rho, even[3], scratch))
+    emit(_call_into, law.p_e, rho, even[3])
     emit(np.add, even[3], theta_pth, even[3])
     emit(np.power, rho, params.beta, tmp)
     emit(np.multiply, tmp, delta, tmp)
     emit(np.add, even[3], tmp, even[3])
-    # even[5] = conductivity_potential(law, theta)
-    calls.extend(antideriv_steps(law.kappa, theta, even[5], scratch))
+    emit(_call_into, partial(conductivity_potential, law), theta, even[5])
     for j in axes:
         emit(np.copyto, odd[6], rho_u[j])
         emit(np.multiply, rho_q, u[j], odd[7])
