@@ -617,8 +617,18 @@ def _tabulate_bank(grid: Grid, bank, times):
             parts.append(phi)
         part_of.append(row[key])
     part_of = np.array(part_of)
-    r = np.array([[phi.r(t) for t in times] for phi in bank])
-    rp = np.array([[phi.rprime(t) for t in times] for phi in bank])
+    # a time profile is evaluated once: the members of this class that share
+    # profile and T share its rows; any other member is evaluated on its own
+    profiles = {}
+
+    def rows(phi):
+        key = (phi.profile, phi.T) if type(phi) is SpaceTimeTestFunction else id(phi)
+        if key not in profiles:
+            profiles[key] = ([phi.r(t) for t in times], [phi.rprime(t) for t in times])
+        return profiles[key]
+
+    r = np.array([rows(phi)[0] for phi in bank])
+    rp = np.array([rows(phi)[1] for phi in bank])
     _validate_bank(grid, bank, parts, part_of, r)
     # one row per part: a product with a row-major part matrix sums each
     # pairing in the order of a dot product (gemv with the parts as columns

@@ -34,14 +34,19 @@ tables by column, T[j][i] = d_j F_i: the transpose of the row layout
 G[i, j] of vector_gradient.  Its phase-2 tables are pruned to the entries
 that feed a term, and it keeps them in per-thread scratch buffers.
 
-Wall tables: the wall slabs of each grid axis, at indices 0, 1, -2 and -1
-along it with any leading axes passing through, are one module table,
-_WALLS, built at import.  d1 and d2 index it, so a call builds no index of
-its own; the interior stencil is one operation on the flat arrays.
+Step lists: d1_steps and d2_steps pass each numpy call of one stencil,
+for a given grid, operand, axis, parity and out, to emit(fn, *args,
+**kwargs).  d1 and d2 make those calls as they are emitted; solver.rhs
+binds them once into its compiled program, so each stencil has one
+definition.  The interior stencil is one operation on the flat arrays, and
+each wall rule one call on a strided view holding both wall slabs of the
+axis.  The indices and spacing factors come from one per-grid table,
+Grid.stencil_axes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +62,8 @@ __all__ = [
     "ODD",
     "d1",
     "d2",
+    "d1_steps",
+    "d2_steps",
     "vector_gradient",
     "gradient",
     "divergence",
@@ -75,90 +82,84 @@ __all__ = [
 ]
 
 
-def _ax_slices(axis: int):
-    """Index builder along grid axis `axis` of an array whose last three
-    axes are the grid axes (leading component axes pass through)."""
-    post = (slice(None),) * (2 - axis)
-
-    def sl(s):
-        return (Ellipsis, s) + post
-
-    return sl
+def _call(fn, *args, **kwargs) -> None:
+    fn(*args, **kwargs)
 
 
-# wall slabs of each grid axis of an array whose last three axes are the
-# grid axes, any leading axes passing through: index 0, 1, -2 and -1
-_WALLS = tuple(tuple(map(_ax_slices(axis), (0, 1, -2, -1))) for axis in range(3))
+# a standalone stencil runs its steps as they are emitted; operator.call
+# (Python 3.11) does so without a Python frame
+_now = getattr(operator, "call", _call)
+
+# The wall rules act on (2, lines, s) views of the walls, and pass
+# order="C" to loop over the two walls outermost: numpy's own order would
+# loop over them innermost when s is 1.
+_TWO = np.array(2.0)
+_MINUS_TWO = np.array(-2.0)
 
 
-def _flat_operands(f: np.ndarray, axis: int, out):
-    """f and out as flat C-ordered vectors, and the flat offset between
-    neighbours along grid axis `axis`.
+def d1_steps(grid: Grid, f: np.ndarray, axis: int, parity: int, out: np.ndarray, emit) -> None:
+    """The numpy calls of d1 along the active `axis`, each passed to
+    emit(fn, *args, **kwargs); f and out are C-contiguous and do not overlap.
 
-    With both arrays flat, the centred stencil of every interior node is
-    one contiguous vector operation; the nodes it gets wrong are the two
-    walls of each line, which the caller overwrites with the wall rule.
+    With both arrays flat, the centred stencil of every interior node is one
+    contiguous vector operation; the nodes it gets wrong are the two walls
+    of each line, which the wall rule then overwrites in one call.
     """
+    n, s, walls, nbrs, two_h, _, odd_wall = grid.stencil_axes[axis]
+    ff, mid = f.reshape(-1), out.reshape(-1)[s:-s]
+    emit(np.subtract, ff[2 * s :], ff[: -2 * s], mid)
+    emit(np.divide, mid, two_h, mid)
+    out_walls = out.reshape(-1, n, s).transpose(1, 0, 2)[walls]
+    if parity == EVEN:
+        emit(out_walls.fill, 0.0)
+    else:
+        # f/h on the low wall, f/(-h) on the high one
+        f_nbrs = f.reshape(-1, n, s).transpose(1, 0, 2)[nbrs]
+        emit(np.divide, f_nbrs, odd_wall, out_walls, order="C")
+
+
+def d2_steps(grid: Grid, f: np.ndarray, axis: int, parity: int, out: np.ndarray, emit) -> None:
+    """The numpy calls of d2 along the active `axis`, as d1_steps."""
+    n, s, walls, nbrs, _, h2, _ = grid.stencil_axes[axis]
+    ff, mid = f.reshape(-1), out.reshape(-1)[s:-s]
+    emit(np.multiply, ff[s:-s], _TWO, mid)
+    emit(np.subtract, ff[2 * s :], mid, mid)
+    emit(np.add, mid, ff[: -2 * s], mid)
+    emit(np.divide, mid, h2, mid)
+    nodes = f.reshape(-1, n, s).transpose(1, 0, 2)
+    out_walls = out.reshape(-1, n, s).transpose(1, 0, 2)[walls]
+    if parity == EVEN:
+        emit(np.subtract, nodes[nbrs], nodes[walls], out_walls, order="C")
+        emit(np.multiply, out_walls, _TWO, out_walls, order="C")
+    else:
+        emit(np.multiply, nodes[walls], _MINUS_TWO, out_walls, order="C")
+    emit(np.divide, out_walls, h2, out_walls, order="C")
+
+
+def _stencil(steps, grid: Grid, f: np.ndarray, axis: int, parity: int, out) -> np.ndarray:
+    if grid.shape[axis] == 1:
+        out = np.empty_like(f) if out is None else out
+        out[...] = 0.0
+        return out
     f = np.ascontiguousarray(f)
     if out is None:
         out = np.empty_like(f)
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    step = f.strides[axis - 3] // f.itemsize
-    return f, out, f.reshape(-1), out.reshape(-1), step
+    steps(grid, f, axis, parity, out, _now)
+    return out
 
 
 def d1(grid: Grid, f: np.ndarray, axis: int, parity: int, out=None) -> np.ndarray:
     """First derivative along `axis` with the given wall parity, written
     into `out` (C-contiguous, not overlapping f) when it is given."""
-    if grid.shape[axis] == 1:
-        out = np.empty_like(f) if out is None else out
-        out[...] = 0.0
-        return out
-    h = grid.spacing[axis]
-    f, out, ff, oo, s = _flat_operands(f, axis, out)
-    mid = oo[s:-s]
-    np.subtract(ff[2 * s :], ff[: -2 * s], out=mid)
-    mid /= 2.0 * h
-    lo, lo1, hi1, hi = _WALLS[axis]
-    if parity == EVEN:
-        out[lo] = 0.0
-        out[hi] = 0.0
-    else:
-        np.divide(f[lo1], h, out=out[lo])
-        # -f/h and f/(-h) round alike
-        np.divide(f[hi1], -h, out=out[hi])
-    return out
+    return _stencil(d1_steps, grid, f, axis, parity, out)
 
 
 def d2(grid: Grid, f: np.ndarray, axis: int, parity: int, out=None) -> np.ndarray:
     """Compact second derivative along `axis` with the given wall parity,
     written into `out` (C-contiguous, not overlapping f) when it is given."""
-    if grid.shape[axis] == 1:
-        out = np.empty_like(f) if out is None else out
-        out[...] = 0.0
-        return out
-    h = grid.spacing[axis]
-    h2 = h * h
-    f, out, ff, oo, s = _flat_operands(f, axis, out)
-    mid = oo[s:-s]
-    np.multiply(ff[s:-s], 2.0, out=mid)
-    np.subtract(ff[2 * s :], mid, out=mid)
-    mid += ff[: -2 * s]
-    mid /= h2
-    lo, lo1, hi1, hi = _WALLS[axis]
-    out_lo, out_hi = out[lo], out[hi]
-    if parity == EVEN:
-        np.subtract(f[lo1], f[lo], out=out_lo)
-        np.subtract(f[hi1], f[hi], out=out_hi)
-        out_lo *= 2.0
-        out_hi *= 2.0
-    else:
-        np.multiply(f[lo], -2.0, out=out_lo)
-        np.multiply(f[hi], -2.0, out=out_hi)
-    out_lo /= h2
-    out_hi /= h2
-    return out
+    return _stencil(d2_steps, grid, f, axis, parity, out)
 
 
 def vector_gradient(grid: Grid, F: np.ndarray, parity: int = ODD) -> np.ndarray:

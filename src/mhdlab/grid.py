@@ -9,8 +9,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+
+
+class StencilAxis(NamedTuple):
+    """What the centred stencils along one active axis read (fieldops.d1 and
+    d2, the projector's transpose).  The factors are 0-d arrays, which numpy
+    takes faster than floats."""
+
+    n: int
+    # flat offset between neighbours along the axis in a C-contiguous array
+    # whose last three axes are the grid axes
+    s: int
+    # along the node axis of such an array viewed as (n, lines, s): both
+    # walls, nodes 0 and n-1, and their neighbours, nodes 1 and n-2, which on
+    # a 3-node axis are node 1 alone, broadcast against both walls
+    walls: slice
+    nbrs: slice
+    two_h: np.ndarray
+    h2: np.ndarray
+    # h and -h, shaped (2, 1, 1): the ODD first derivative's wall divisors
+    odd_wall: np.ndarray
+
+
+def _constant(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -66,6 +93,24 @@ class Grid:
     def wall_max(self, f: np.ndarray) -> float:
         """Largest |f| on the walls; 0 when no axis is active."""
         return max([0.0] + [float(np.max(np.abs(f[w]))) for w in self._walls])
+
+    @cached_property
+    def stencil_axes(self) -> tuple:
+        """The StencilAxis of each axis, None for a suppressed one."""
+        return tuple(
+            None
+            if n == 1
+            else StencilAxis(
+                n=n,
+                s=int(np.prod(self.shape[a + 1 :])),
+                walls=slice(0, None, n - 1),
+                nbrs=slice(1, n - 1, n - 3) if n > 3 else slice(1, 2),
+                two_h=_constant(2.0 * h),
+                h2=_constant(h * h),
+                odd_wall=_constant([h, -h]).reshape(2, 1, 1),
+            )
+            for a, (n, h) in enumerate(zip(self.shape, self.spacing))
+        )
 
     @cached_property
     def spacing_active(self) -> tuple[float, ...]:

@@ -70,9 +70,12 @@ a run and its initial-data mollification share one.
 
 project() raises NumericalAbort when ||div H'|| of the cleaned field exceeds
 RTOL * ||H|| (plain 2-norms).  It returns the wall-zeroed input unsolved
-when ||div H|| is at most 0.3 RTOL ||H||, as every call of a 1D run whose
-field has no normal component does; when every wall value is exactly zero
-it skips max|H|, which only its wall test reads.
+when ||div H|| is at most 0.3 RTOL ||H||.  When every component of H along
+an active axis is exactly zero, as in every call of a 1D run whose field
+has no normal component, the divergence is exactly zero and is not taken:
+project() returns the wall-zeroed input straight after its wall test.
+When every wall value is exactly zero it skips max|H|, which only that
+wall test reads.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantViolation, NumericalAbort
-from .fieldops import ODD, _ax_slices, divergence
+from .fieldops import ODD, divergence
 from .grid import Grid
 
 __all__ = ["DivFreeProjector", "projector_for"]
@@ -91,6 +94,17 @@ __all__ = ["DivFreeProjector", "projector_for"]
 RTOL = 3e-12  # cleaned field must satisfy ||div H'|| <= RTOL * ||H||
 # eigenvalues of A at or below this fraction of the largest are its nullspace
 NULL_RTOL = 1e-13
+
+
+def _ax_slices(axis: int):
+    """Index builder along grid axis `axis` of an array whose last three
+    axes are the grid axes (leading component axes pass through)."""
+    post = (slice(None),) * (2 - axis)
+
+    def sl(s):
+        return (Ellipsis, s) + post
+
+    return sl
 
 
 def _d1_matrix(n: int, h: float) -> np.ndarray:
@@ -219,6 +233,8 @@ class DivFreeProjector:
                     f"vs field scale {scale:.3e})"
                 )
         H = g.zero_walls(H.copy())
+        if not any(H[a].any() for a in g.active_axes):
+            return H  # D reads only these components: div H is exactly zero
         b = divergence(g, H, parity=ODD)
         hnorm = float(np.sqrt((H * H).sum()))
         target = max(RTOL * hnorm, 1e-300)

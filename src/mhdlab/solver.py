@@ -41,10 +41,13 @@ piece that is not a Const coefficient (mu, lam, p_e, p_th), and each of
 heat_content and conductivity_potential, stays one call of the law's own
 function, whose result is copied into scratch.  A later call copies rho,
 u, theta and H into the bound input buffers, replays the list and copies
-the bound output stack into out; sources are added after.  The stencils
-stay calls of fieldops.d1 and d2, looked up in fieldops at each replay, so
-a wrapper installed there sees them.  The key holds the grid, not only its shape,
-because two grids of one shape can differ in spacing.
+the bound output stack into out; sources are added after.  Each stencil enters
+the list as its steps: fieldops.d1_steps or d2_steps, looked up in fieldops
+when the program compiles, emit the numpy calls of that d1 or d2 bound to
+the scratch buffers.  A replay therefore calls neither fieldops.d1 nor d2,
+and a wrapper of a step builder sees each stencil once per key.  The key
+holds the grid, not only its shape, because two grids of one shape can
+differ in spacing.
 
 Scratch buffers and compiled lists live in a workspace that each thread
 keeps for its last 4 grid shapes, with the lists of its last 4 keys per
@@ -377,11 +380,6 @@ def _rhs_scratch(shape: tuple) -> SimpleNamespace:
 _rhs_workspace = _PerThread(_rhs_scratch)
 
 
-def _stencil(name: str, *args) -> None:
-    # looked up on each call, so that a wrapped fieldops.d1 or d2 sees it
-    getattr(fieldops, name)(*args)
-
-
 def _call_into(fn, x, out) -> None:
     np.copyto(out, fn(x))
 
@@ -391,11 +389,12 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     and scheme; every view, row list, loop and branch is resolved here."""
     calls = []
 
-    def emit(fn, *args):
-        calls.append(partial(fn, *args))
+    def emit(fn, *args, **kwargs):
+        calls.append(partial(fn, *args, **kwargs))
 
     def stencil(name, f, axis, parity, out):
-        emit(_stencil, name, grid, f, axis, parity, out)
+        # the steps of fieldops.d1 or d2, bound to these operands
+        getattr(fieldops, f"{name}_steps")(grid, f, axis, parity, out, emit)
 
     used = 0
 
@@ -611,7 +610,7 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     emit(np.add, odd_col[:, 0:3], odd_col[:, 0:3].swapaxes(0, 1), sym)
     emit(np.multiply, sym, sym, sym)
     diss = ws.diss
-    calls.append(partial(np.add.reduce, sym.reshape((9,) + shape), axis=0, out=diss))
+    emit(np.add.reduce, sym.reshape((9,) + shape), axis=0, out=diss)
     if isinstance(mu, float):
         emit(np.multiply, diss, 0.5 * mu, diss)
     else:
@@ -624,7 +623,7 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
         emit(np.add, diss, tmp, diss)
     emit(np.multiply, curl_H, curl_H, tmp3)
     heating = ws.heating
-    calls.append(partial(np.add.reduce, tmp3, axis=0, out=heating))
+    emit(np.add.reduce, tmp3, axis=0, out=heating)
     emit(np.multiply, heating, law.nu, heating)
     emit(np.add, heating, diss, heating)
     emit(np.multiply, heating, 1.0 - delta, heating)

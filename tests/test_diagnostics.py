@@ -381,6 +381,38 @@ def _shared_part_bank(grid, T):
     return [a, b, a.with_profile("a-interior", "interior")]
 
 
+def test_bank_time_profiles_tabulated_once(monkeypatch):
+    # members of one profile and T share one evaluated row; any other member
+    # type is evaluated on its own; the tables keep their bytes
+    from mhdlab.diagnostics import _tabulate_bank
+
+    grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.0, 1.0))
+    T = 0.4
+    times = [T * k / 8 for k in range(9)]
+    evaluated = []
+    r_of = SpaceTimeTestFunction.r
+
+    def counted(self, t):
+        evaluated.append(self.name)
+        return r_of(self, t)
+
+    mixed = _combo_bank(grid, T)  # a, b and uniform share one profile
+    combo = mixed[2]
+    combo_r = combo.r
+    combo.r = lambda t: evaluated.append(combo.name) or combo_r(t)
+    default = make_test_bank(grid, T)  # two profiles
+    for bank, rows in ((default, [p.name for p in default[:2]]), (mixed, ["a", "combo"])):
+        want_r = np.array([[phi.r(t) for t in times] for phi in bank])
+        want_rp = np.array([[phi.rprime(t) for t in times] for phi in bank])
+        monkeypatch.setattr(SpaceTimeTestFunction, "r", counted)
+        evaluated.clear()
+        _, _, r, rp, *_ = _tabulate_bank(grid, bank, times)
+        monkeypatch.undo()
+        assert r.tobytes() == want_r.tobytes()
+        assert rp.tobytes() == want_rp.tobytes()
+        assert sorted(evaluated) == sorted(rows * len(times))
+
+
 def test_weak_residual_linear_in_phi(rest_run):
     grid, _, res = rest_run
     p1, p2, combo, _ = _combo_bank(grid, res.record_times[-1])

@@ -8,6 +8,7 @@ differences commute wherever no ghost is involved.
 """
 
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -275,6 +276,69 @@ def test_d1_d2_write_into_out(axis, parity):
         assert op(g, view, axis, parity).tobytes() == op(g, view.copy(), axis, parity).tobytes()
         with pytest.raises(ValueError, match="contiguous"):
             op(g, f, axis, parity, out=np.empty((5,) + g.shape)[::2])
+
+
+def _bound(steps, g, f, axis, parity):
+    """The steps of a stencil bound once to a buffer and an output slot, as
+    solver.rhs binds them, then replayed twice with f copied in."""
+    buf = np.full(f.shape, np.nan)
+    out = np.full(f.shape, np.nan)
+    program = []
+    steps(g, buf, axis, parity, out, lambda fn, *a, **kw: program.append(partial(fn, *a, **kw)))
+    np.copyto(buf, f)
+    for _ in range(2):
+        for call in program:
+            call()
+    return out
+
+
+def _ghost_oracle(op, g, f, axis, parity):
+    """d1 or d2 of f as centred differences over one reflected ghost node
+    on each side, the ghost of an ODD field flipped in sign."""
+    ax = f.ndim - 3 + axis
+    n = f.shape[ax]
+    ghost = np.concatenate([f.take([1], ax), f, f.take([n - 2], ax)], axis=ax)
+    for i in (0, n + 1):
+        idx = [slice(None)] * f.ndim
+        idx[ax] = i
+        ghost[tuple(idx)] *= parity
+    lo, mid, hi = (ghost.take(np.arange(k, k + n), ax) for k in range(3))
+    h = g.spacing[axis]
+    return (hi - lo) / (2.0 * h) if op is d1 else (hi - 2.0 * mid + lo) / (h * h)
+
+
+_STENCIL_SHAPES = [
+    (9, 1, 1),
+    (1, 9, 1),
+    (1, 1, 9),
+    (3, 5, 1),
+    (5, 3, 1),
+    (3, 3, 3),
+    (7, 6, 5),
+    (4, 1, 6),
+]
+
+
+@pytest.mark.parametrize("shape", _STENCIL_SHAPES)
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_bound_stencil_steps_match_standalone(shape, lead):
+    # one step list per stencil: bound into a program or run at once, it
+    # gives the same bytes, for a stack as for each operand on its own
+    g = Grid(shape=shape, extents=(1.0, 1.3, 0.7))
+    f = np.random.default_rng(sum(shape) + len(lead)).standard_normal(lead + shape)
+    for op, steps in ((d1, fieldops.d1_steps), (d2, fieldops.d2_steps)):
+        for axis in g.active_axes:
+            for parity in (EVEN, ODD):
+                want = op(g, f, axis, parity)
+                np.testing.assert_allclose(
+                    want, _ghost_oracle(op, g, f, axis, parity), rtol=0.0, atol=1e-12 * np.abs(want).max()
+                )
+                assert _bound(steps, g, f, axis, parity).tobytes() == want.tobytes()
+                for i in np.ndindex(lead):
+                    assert op(g, f[i], axis, parity).tobytes() == want[i].tobytes()
+                # a strided operand is copied to a contiguous one first
+                view = np.stack([-f, f], axis=-1)[..., 1]
+                assert op(g, view, axis, parity).tobytes() == want.tobytes()
 
 
 def test_induction_rhs_pure_diffusion():

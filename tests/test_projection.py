@@ -304,3 +304,46 @@ def test_run_and_mollification_share_one_projector(monkeypatch):
         assert projection.projector_for(Grid(g.shape, g.extents)) is projection.projector_for(g)
     finally:
         projection.projector_for.cache_clear()
+
+
+@pytest.mark.parametrize("shape", [(33, 1, 1), (17, 15, 1)])
+def test_zero_normal_field_returns_before_the_divergence(shape, monkeypatch):
+    # with every component along an active axis exactly zero, D H is exactly
+    # zero: project() returns the wall-zeroed copy the divergence check
+    # returned, without taking the divergence
+    from mhdlab import projection
+
+    g = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
+    proj = DivFreeProjector(g)
+    H = _rand_field(g, seed=7)
+    H[list(g.active_axes)] = 0.0
+    H[2, 0, 0, 0] = -0.0  # a signed zero on a wall is swept to +0.0
+    # the divergence check returns this copy, as its divergence is zero
+    want = _zero_walls(g, H.copy())
+    assert not divergence(g, want).any()
+
+    def no_divergence(*args, **kwargs):
+        raise AssertionError("the divergence was taken")
+
+    monkeypatch.setattr(projection, "divergence", no_divergence)
+    out = proj.project(H)
+    assert out is not H and out.tobytes() == want.tobytes()
+    # one nonzero normal entry takes the solve path
+    H[0, shape[0] // 2, shape[1] // 2, 0] = 1e-3
+    with pytest.raises(AssertionError, match="divergence was taken"):
+        proj.project(H)
+    monkeypatch.undo()
+    out = proj.project(H)
+    assert g.norm_l2(divergence(g, out)) <= 1e-10 * g.norm_l2(H)
+    assert not np.array_equal(out, H)
+
+
+def test_zero_normal_field_still_fails_its_wall_test():
+    from mhdlab.errors import InvariantViolation
+
+    g = Grid(shape=(33, 1, 1), extents=(1.0, 1.0, 1.0))
+    H = np.zeros((3,) + g.shape)
+    H[1, 1:-1] = 1.0
+    H[1, -1] = 1.0  # a tangential component on the wall
+    with pytest.raises(InvariantViolation, match="nonzero wall values"):
+        DivFreeProjector(g).project(H)

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhdlab import fieldops
+from mhdlab import fieldops, solver
 from mhdlab.constitutive import (
     Const,
     Power,
@@ -522,25 +522,28 @@ def test_stage_two_failure_names_the_stage_two_time():
 def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
     # phase 1: one ODD and one EVEN d1 per active axis, then one d2 per axis
     # on [rho, K]; phase 2: one EVEN d1 per axis and, where other axes are
-    # active, one ODD d1 on their operands alone
+    # active, one ODD d1 on their operands alone.  The program binds the
+    # steps of each stencil when it compiles, so the step builders are hooked
+    # and see each stencil once per key.
     grid = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
     fields, _ = _random_state(grid, 3, False)
     law, params = make_standard_law(lam0=lam0), SchemeParams(epsilon=0.05, delta=0.1)
-    # compiled before the stencils are wrapped
+    want = _reference_rhs(grid, law, params, *fields)
+    # compiled before the builders are hooked; the programs of other tests
+    # for this shape are dropped, so the next key compiles afresh
     compiled = SchemeParams(epsilon=0.06, delta=0.1)
+    solver._rhs_workspace.drop(grid.shape)
     rhs(grid, law, compiled, *fields)
     calls = []
     for name in ("d1", "d2"):
-        fn = getattr(fieldops, name)
+        build = getattr(fieldops, f"{name}_steps")
 
-        def counted(grid, f, axis, parity, *args, _fn=fn, _name=name, **kwargs):
+        def counted(grid, f, axis, parity, out, emit, _build=build, _name=name):
             calls.append((_name, parity, f.shape[0]))
-            return _fn(grid, f, axis, parity, *args, **kwargs)
+            _build(grid, f, axis, parity, out, emit)
 
-        for modname, mod in list(sys.modules.items()):
-            if modname.startswith("mhdlab") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
-    rhs(grid, law, params, *fields)
+        monkeypatch.setattr(fieldops, f"{name}_steps", counted)
+    _assert_bitwise(rhs(grid, law, params, *fields), want)
     n = grid.ndim_active
     lam = lam0 > 0.0
     phase1 = [("d1", ODD, 8), ("d1", EVEN, 5)] * n + [("d2", EVEN, 2)] * n
@@ -549,13 +552,12 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
         phase2.append(("d1", ODD, (3 if lam else 2) * (n - 1)))
     assert calls == phase1 + phase2 * n
     assert [c[0] for c in calls].count("d1") == {1: 3, 2: 8, 3: 12}[n]
-    # a replayed program calls the stencils through fieldops too, also one
-    # compiled before they were wrapped
+    # replays build no step, a program compiled before the hook included
     first = calls[:]
-    for p in (params, compiled):
-        calls.clear()
-        rhs(grid, law, p, *fields)
-        assert calls == first
+    for _ in range(2):
+        _assert_bitwise(rhs(grid, law, params, *fields), want)
+        rhs(grid, law, compiled, *fields)
+    assert calls == first
 
 
 # ---------------------------------------------------------------------------
