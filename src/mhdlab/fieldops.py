@@ -40,8 +40,9 @@ for a given grid, operand, axis, parity and out, to emit(fn, *args,
 binds them once into its compiled program, so each stencil has one
 definition.  The interior stencil is one operation on the flat arrays, and
 each wall rule one call on a strided view holding both wall slabs of the
-axis.  The indices and spacing factors come from one per-grid table,
-Grid.stencil_axes.
+axis.  The spacing is multiplied in as a reciprocal, 1/(2h), 1/h or 1/h^2
+(2/h^2 where the wall rule doubles), never divided by.  The indices and
+factors come from one per-grid table, Grid.stencil_axes.
 """
 
 from __future__ import annotations
@@ -90,11 +91,7 @@ def _call(fn, *args, **kwargs) -> None:
 # (Python 3.11) does so without a Python frame
 _now = getattr(operator, "call", _call)
 
-# The wall rules act on (2, lines, s) views of the walls, and pass
-# order="C" to loop over the two walls outermost: numpy's own order would
-# loop over them innermost when s is 1.
 _TWO = np.array(2.0)
-_MINUS_TWO = np.array(-2.0)
 
 
 def d1_steps(grid: Grid, f: np.ndarray, axis: int, parity: int, out: np.ndarray, emit) -> None:
@@ -103,37 +100,40 @@ def d1_steps(grid: Grid, f: np.ndarray, axis: int, parity: int, out: np.ndarray,
 
     With both arrays flat, the centred stencil of every interior node is one
     contiguous vector operation; the nodes it gets wrong are the two walls
-    of each line, which the wall rule then overwrites in one call.
+    of each line, which the wall rule then overwrites in one call on a
+    (lines, 2, s) view of both.
     """
-    n, s, walls, nbrs, two_h, _, odd_wall = grid.stencil_axes[axis]
+    ax = grid.stencil_axes[axis]
+    s = ax.s
     ff, mid = f.reshape(-1), out.reshape(-1)[s:-s]
     emit(np.subtract, ff[2 * s :], ff[: -2 * s], mid)
-    emit(np.divide, mid, two_h, mid)
-    out_walls = out.reshape(-1, n, s).transpose(1, 0, 2)[walls]
+    emit(np.multiply, mid, ax.inv_2h, mid)
+    out_walls = out.reshape(ax.lines)[ax.walls]
     if parity == EVEN:
         emit(out_walls.fill, 0.0)
     else:
-        # f/h on the low wall, f/(-h) on the high one
-        f_nbrs = f.reshape(-1, n, s).transpose(1, 0, 2)[nbrs]
-        emit(np.divide, f_nbrs, odd_wall, out_walls, order="C")
+        # f/h on the low wall, -f/h on the high one
+        f_nbrs = f.reshape(ax.lines)[ax.nbrs]
+        emit(np.multiply, f_nbrs, ax.d1_odd_wall, out_walls, **ax.wall_order)
 
 
 def d2_steps(grid: Grid, f: np.ndarray, axis: int, parity: int, out: np.ndarray, emit) -> None:
     """The numpy calls of d2 along the active `axis`, as d1_steps."""
-    n, s, walls, nbrs, _, h2, _ = grid.stencil_axes[axis]
+    ax = grid.stencil_axes[axis]
+    s = ax.s
     ff, mid = f.reshape(-1), out.reshape(-1)[s:-s]
     emit(np.multiply, ff[s:-s], _TWO, mid)
     emit(np.subtract, ff[2 * s :], mid, mid)
     emit(np.add, mid, ff[: -2 * s], mid)
-    emit(np.divide, mid, h2, mid)
-    nodes = f.reshape(-1, n, s).transpose(1, 0, 2)
-    out_walls = out.reshape(-1, n, s).transpose(1, 0, 2)[walls]
+    emit(np.multiply, mid, ax.inv_h2, mid)
+    lines = f.reshape(ax.lines)
+    out_walls = out.reshape(ax.lines)[ax.walls]
     if parity == EVEN:
-        emit(np.subtract, nodes[nbrs], nodes[walls], out_walls, order="C")
-        emit(np.multiply, out_walls, _TWO, out_walls, order="C")
+        # 2 (f_1 - f_0) / h^2, and alike on the high wall
+        emit(np.subtract, lines[ax.nbrs], lines[ax.walls], out_walls, **ax.wall_order)
+        emit(np.multiply, out_walls, ax.d2_even_wall, out_walls, **ax.wall_order)
     else:
-        emit(np.multiply, nodes[walls], _MINUS_TWO, out_walls, order="C")
-    emit(np.divide, out_walls, h2, out_walls, order="C")
+        emit(np.multiply, lines[ax.walls], ax.d2_odd_wall, out_walls, **ax.wall_order)
 
 
 def _stencil(steps, grid: Grid, f: np.ndarray, axis: int, parity: int, out) -> np.ndarray:

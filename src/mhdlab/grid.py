@@ -16,22 +16,37 @@ import numpy as np
 
 class StencilAxis(NamedTuple):
     """What the centred stencils along one active axis read (fieldops.d1 and
-    d2, the projector's transpose).  The factors are 0-d arrays, which numpy
-    takes faster than floats."""
+    d2, the projector's transpose).  The spacing enters as reciprocals,
+    multiplied in; the factors are 0-d arrays, which numpy takes faster than
+    floats."""
 
-    n: int
-    # flat offset between neighbours along the axis in a C-contiguous array
-    # whose last three axes are the grid axes
+    # the flat offset between neighbours along the axis in a C-contiguous
+    # array whose last three axes are the grid axes, and the shape that
+    # views such an array as (lines, n, s)
     s: int
-    # along the node axis of such an array viewed as (n, lines, s): both
-    # walls, nodes 0 and n-1, and their neighbours, nodes 1 and n-2, which on
-    # a 3-node axis are node 1 alone, broadcast against both walls
-    walls: slice
-    nbrs: slice
-    two_h: np.ndarray
-    h2: np.ndarray
-    # h and -h, shaped (2, 1, 1): the ODD first derivative's wall divisors
-    odd_wall: np.ndarray
+    lines: tuple
+    # in that view, both walls, nodes 0 and n-1, and their neighbours, nodes
+    # 1 and n-2, which on a 3-node axis are node 1 alone, broadcast against
+    # both walls
+    walls: tuple
+    nbrs: tuple
+    inv_2h: np.ndarray  # 1/(2h)
+    inv_h2: np.ndarray  # 1/h^2
+    # the wall factors: 1/h and -1/h, shaped (2, 1), of the ODD first
+    # derivative; 2/h^2 and -2/h^2 of the EVEN and ODD second derivative
+    d1_odd_wall: np.ndarray
+    d2_even_wall: np.ndarray
+    d2_odd_wall: np.ndarray
+    # keyword arguments of the ufunc of a wall rule.  Along the last active
+    # axis of a 2D or 3D grid, s is 1 and there are many lines: numpy's own
+    # order would loop over the two walls innermost, order "F" loops over
+    # the lines.
+    wall_order: dict
+
+
+# never written: a plain dict is the fastest to unpack into keyword arguments
+_LINES_INNERMOST = {"order": "F"}
+_ANY_ORDER = {}
 
 
 def _constant(values) -> np.ndarray:
@@ -101,13 +116,20 @@ class Grid:
             None
             if n == 1
             else StencilAxis(
-                n=n,
                 s=int(np.prod(self.shape[a + 1 :])),
-                walls=slice(0, None, n - 1),
-                nbrs=slice(1, n - 1, n - 3) if n > 3 else slice(1, 2),
-                two_h=_constant(2.0 * h),
-                h2=_constant(h * h),
-                odd_wall=_constant([h, -h]).reshape(2, 1, 1),
+                lines=(-1, n, int(np.prod(self.shape[a + 1 :]))),
+                walls=(slice(None), slice(0, None, n - 1)),
+                nbrs=(slice(None), slice(1, n - 1, n - 3) if n > 3 else slice(1, 2)),
+                inv_2h=_constant(0.5 / h),
+                inv_h2=_constant(1.0 / (h * h)),
+                d1_odd_wall=_constant([[1.0 / h], [-1.0 / h]]),
+                d2_even_wall=_constant(2.0 / (h * h)),
+                d2_odd_wall=_constant(-2.0 / (h * h)),
+                wall_order=(
+                    _LINES_INNERMOST
+                    if a == self.active_axes[-1] and self.ndim_active > 1
+                    else _ANY_ORDER
+                ),
             )
             for a, (n, h) in enumerate(zip(self.shape, self.spacing))
         )

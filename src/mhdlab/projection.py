@@ -193,17 +193,16 @@ class DivFreeProjector:
         return H - self.grid.zero_walls(self.div_transpose(self._solve(b)))
 
     def _d1_transpose(self, s: np.ndarray, axis: int) -> np.ndarray:
-        """Plain transpose of the odd-parity first derivative along `axis`."""
-        h = self.grid.spacing[axis]
+        """Plain transpose of the odd-parity first derivative along `axis`,
+        scaled by the stencils' 1/(2h)."""
+        c = self.grid.stencil_axes[axis].inv_2h
         sl = _ax_slices(axis)
         out = np.zeros_like(s)
-        out[sl(slice(1, -1))] = (s[sl(slice(None, -2))] - s[sl(slice(2, None))]) / (
-            2.0 * h
-        )
-        out[sl(1)] += s[sl(0)] / (2.0 * h)
-        out[sl(-2)] -= s[sl(-1)] / (2.0 * h)
-        out[sl(0)] = -s[sl(1)] / (2.0 * h)
-        out[sl(-1)] = s[sl(-2)] / (2.0 * h)
+        out[sl(slice(1, -1))] = (s[sl(slice(None, -2))] - s[sl(slice(2, None))]) * c
+        out[sl(1)] += s[sl(0)] * c
+        out[sl(-2)] -= s[sl(-1)] * c
+        out[sl(0)] = -s[sl(1)] * c
+        out[sl(-1)] = s[sl(-2)] * c
         return out
 
     def div_transpose(self, s: np.ndarray) -> np.ndarray:
