@@ -137,6 +137,7 @@ def d2_steps(grid: Grid, f: np.ndarray, axis: int, parity: int, out: np.ndarray,
 
 
 def _stencil(steps, grid: Grid, f: np.ndarray, axis: int, parity: int, out) -> np.ndarray:
+    """d1 or d2 by its steps, made as they are emitted."""
     if grid.shape[axis] == 1:
         out = np.empty_like(f) if out is None else out
         out[...] = 0.0

@@ -17,8 +17,8 @@ import numpy as np
 class StencilAxis(NamedTuple):
     """What the centred stencils along one active axis read (fieldops.d1 and
     d2, the projector's transpose).  The spacing enters as reciprocals,
-    multiplied in; the factors are 0-d arrays, which numpy takes faster than
-    floats."""
+    multiplied in; the factors are read-only arrays, which numpy takes
+    faster than floats."""
 
     # the flat offset between neighbours along the axis in a C-contiguous
     # array whose last three axes are the grid axes, and the shape that
@@ -46,7 +46,7 @@ class StencilAxis(NamedTuple):
 
 # never written: a plain dict is the fastest to unpack into keyword arguments
 _LINES_INNERMOST = {"order": "F"}
-_ANY_ORDER = {}
+_NUMPY_ORDER = {}
 
 
 def _constant(values) -> np.ndarray:
@@ -112,27 +112,28 @@ class Grid:
     @cached_property
     def stencil_axes(self) -> tuple:
         """The StencilAxis of each axis, None for a suppressed one."""
-        return tuple(
-            None
-            if n == 1
-            else StencilAxis(
-                s=int(np.prod(self.shape[a + 1 :])),
-                lines=(-1, n, int(np.prod(self.shape[a + 1 :]))),
-                walls=(slice(None), slice(0, None, n - 1)),
-                nbrs=(slice(None), slice(1, n - 1, n - 3) if n > 3 else slice(1, 2)),
-                inv_2h=_constant(0.5 / h),
-                inv_h2=_constant(1.0 / (h * h)),
-                d1_odd_wall=_constant([[1.0 / h], [-1.0 / h]]),
-                d2_even_wall=_constant(2.0 / (h * h)),
-                d2_odd_wall=_constant(-2.0 / (h * h)),
-                wall_order=(
-                    _LINES_INNERMOST
-                    if a == self.active_axes[-1] and self.ndim_active > 1
-                    else _ANY_ORDER
-                ),
+        table = []
+        for a, (n, h) in enumerate(zip(self.shape, self.spacing)):
+            if n == 1:
+                table.append(None)
+                continue
+            s = int(np.prod(self.shape[a + 1 :]))
+            many_lines = a == self.active_axes[-1] and self.ndim_active > 1
+            table.append(
+                StencilAxis(
+                    s=s,
+                    lines=(-1, n, s),
+                    walls=(slice(None), slice(0, None, n - 1)),
+                    nbrs=(slice(None), slice(1, n - 1, n - 3) if n > 3 else slice(1, 2)),
+                    inv_2h=_constant(0.5 / h),
+                    inv_h2=_constant(1.0 / (h * h)),
+                    d1_odd_wall=_constant([[1.0 / h], [-1.0 / h]]),
+                    d2_even_wall=_constant(2.0 / (h * h)),
+                    d2_odd_wall=_constant(-2.0 / (h * h)),
+                    wall_order=_LINES_INNERMOST if many_lines else _NUMPY_ORDER,
+                )
             )
-            for a, (n, h) in enumerate(zip(self.shape, self.spacing))
-        )
+        return tuple(table)
 
     @cached_property
     def spacing_active(self) -> tuple[float, ...]:

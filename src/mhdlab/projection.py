@@ -96,17 +96,6 @@ RTOL = 3e-12  # cleaned field must satisfy ||div H'|| <= RTOL * ||H||
 NULL_RTOL = 1e-13
 
 
-def _ax_slices(axis: int):
-    """Index builder along grid axis `axis` of an array whose last three
-    axes are the grid axes (leading component axes pass through)."""
-    post = (slice(None),) * (2 - axis)
-
-    def sl(s):
-        return (Ellipsis, s) + post
-
-    return sl
-
-
 def _d1_matrix(n: int, h: float) -> np.ndarray:
     """fieldops.d1 with ODD parity along one axis of n nodes, as a matrix."""
     d = np.zeros((n, n))
@@ -195,14 +184,15 @@ class DivFreeProjector:
     def _d1_transpose(self, s: np.ndarray, axis: int) -> np.ndarray:
         """Plain transpose of the odd-parity first derivative along `axis`,
         scaled by the stencils' 1/(2h)."""
-        c = self.grid.stencil_axes[axis].inv_2h
-        sl = _ax_slices(axis)
+        ax = self.grid.stencil_axes[axis]
+        c = ax.inv_2h
         out = np.zeros_like(s)
-        out[sl(slice(1, -1))] = (s[sl(slice(None, -2))] - s[sl(slice(2, None))]) * c
-        out[sl(1)] += s[sl(0)] * c
-        out[sl(-2)] -= s[sl(-1)] * c
-        out[sl(0)] = -s[sl(1)] * c
-        out[sl(-1)] = s[sl(-2)] * c
+        o, t = out.reshape(ax.lines), s.reshape(ax.lines)  # (lines, n, s)
+        o[:, 1:-1] = (t[:, :-2] - t[:, 2:]) * c
+        o[:, 1] += t[:, 0] * c
+        o[:, -2] -= t[:, -1] * c
+        o[:, 0] = -t[:, 1] * c
+        o[:, -1] = t[:, -2] * c
         return out
 
     def div_transpose(self, s: np.ndarray) -> np.ndarray:

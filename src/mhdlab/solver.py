@@ -390,6 +390,9 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     calls = []
 
     def emit(fn, *args, **kwargs):
+        # a float operand as a 0-d array, which numpy takes faster to the
+        # same bits
+        args = [np.asarray(a) if type(a) is float else a for a in args]
         calls.append(partial(fn, *args, **kwargs))
 
     def stencil(name, f, axis, parity, out):
