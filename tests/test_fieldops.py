@@ -330,9 +330,8 @@ def test_bound_stencil_steps_match_standalone(shape, lead):
         for axis in g.active_axes:
             for parity in (EVEN, ODD):
                 want = op(g, f, axis, parity)
-                np.testing.assert_allclose(
-                    want, _ghost_oracle(op, g, f, axis, parity), rtol=0.0, atol=1e-12 * np.abs(want).max()
-                )
+                oracle = _ghost_oracle(op, g, f, axis, parity)
+                np.testing.assert_allclose(want, oracle, rtol=0.0, atol=1e-12 * np.abs(want).max())
                 assert _bound(steps, g, f, axis, parity).tobytes() == want.tobytes()
                 for i in np.ndindex(lead):
                     assert op(g, f[i], axis, parity).tobytes() == want[i].tobytes()
