@@ -31,10 +31,10 @@ WORKLOADS = ("vortex2d", "mms1d", "budget2d", "box3d")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # all lower is better
 
 
-def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict | None:
+def run_once(tree: Path, workload: str, seconds: float) -> dict | None:
     """The JSON result of one benchmark run in `tree`, None if it gave none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
-    cmd += ["--seconds", repr(seconds), "--seed", str(seed), "--trace", "0"]
+    cmd += ["--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -55,7 +55,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -79,7 +78,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         results = {}
         for side in order:
-            result = run_once(trees[side], args.workload, args.seconds, args.seed)
+            result = run_once(trees[side], args.workload, args.seconds)
             if result is None or not result.get("correct"):
                 failed += 1
                 print(f"  pair {i}: the {side} run is not correct", file=sys.stderr)

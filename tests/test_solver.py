@@ -532,6 +532,7 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
     # compiled before the builders are hooked; the programs of other tests
     # for this shape are dropped, so the next key compiles afresh
     compiled = SchemeParams(epsilon=0.06, delta=0.1)
+    want_compiled = _reference_rhs(grid, law, compiled, *fields)
     solver._rhs_workspace.drop(grid.shape)
     rhs(grid, law, compiled, *fields)
     calls = []
@@ -556,7 +557,7 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
     first = calls[:]
     for _ in range(2):
         _assert_bitwise(rhs(grid, law, params, *fields), want)
-        rhs(grid, law, compiled, *fields)
+        _assert_bitwise(rhs(grid, law, compiled, *fields), want_compiled)
     assert calls == first
 
 
