@@ -501,7 +501,7 @@ class AdmissibilityReport:
     reasons: list[str] = field(default_factory=list)
 
 
-def check_admissible(candidate, theta_max: float = 1e4) -> AdmissibilityReport:
+def check_admissible(candidate) -> AdmissibilityReport:
     """Decide whether a weight qualifies as a renormalizer.
 
     Required: h(0) > 0, h' <= 0, h(theta) -> 0 for large theta, and the
@@ -509,7 +509,7 @@ def check_admissible(candidate, theta_max: float = 1e4) -> AdmissibilityReport:
     power family (passed as an omega value or a Renormalizer) the conditions
     reduce to 0 < omega <= 1 and are decided in closed form; a bare callable
     is checked on samples with finite-difference derivatives, using
-    h(theta_max) < 1e-2 as the decay proxy.
+    h(1e4) < 1e-2 as the decay proxy.
     """
     reasons: list[str] = []
 
@@ -529,7 +529,7 @@ def check_admissible(candidate, theta_max: float = 1e4) -> AdmissibilityReport:
         return AdmissibilityReport(ok=not reasons, reasons=reasons)
 
     h = candidate
-    thetas = np.concatenate(([0.0], np.geomspace(1e-3, theta_max, 200)))
+    thetas = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 200)))
     hv = np.asarray([float(h(t)) for t in thetas])
     step = np.maximum(1e-6, 1e-6 * thetas)
     hp = np.asarray([(h(t + s) - h(max(t - s, 0.0))) / (s + min(t, s)) for t, s in zip(thetas, step)])
@@ -550,7 +550,7 @@ def check_admissible(candidate, theta_max: float = 1e4) -> AdmissibilityReport:
         reasons.append(f"h'({thetas[i]:.3g}) = {hp[i]:.3g} > 0, weight must be nonincreasing")
     if not hv[-1] < 1e-2:
         reasons.append(
-            f"h({theta_max:.3g}) = {hv[-1]:.3g} >= 1e-2, weight does not decay"
+            f"h({thetas[-1]:.3g}) = {hv[-1]:.3g} >= 1e-2, weight does not decay"
         )
     convex = hpp * hv - 2.0 * hp**2
     tol = -1e-6 * (np.abs(hpp * hv) + hp**2 + 1e-30) - 1e-12
@@ -621,22 +621,18 @@ def _sampled_check(name, desc, xs, lhs, rhs, checks):
         checks.append(CheckResult(name, desc, True))
 
 
-def validate_hypotheses(
-    law: ConstitutiveLaw,
-    span=_SAMPLE_SPAN,
-    samples: int = _SAMPLE_COUNT,
-) -> HypothesisReport:
+def validate_hypotheses(law: ConstitutiveLaw) -> HypothesisReport:
     """Check the structural growth and bound hypotheses on sample grids.
 
     Scalar constraints (gamma > 3/2, alpha > 2, nu > 0, positivity of the
     bound constants) are re-checked here even though the constructor enforces
     the first three.  Pointwise inequalities are sampled on log-spaced grids
-    over `span` with a 1e-9 relative slack so exact saturation passes.
+    over _SAMPLE_SPAN with a 1e-9 relative slack so exact saturation passes.
     """
     b = law.bounds
     checks: list[CheckResult] = []
-    rho = np.geomspace(span[0], span[1], samples)
-    theta = np.geomspace(span[0], span[1], samples)
+    rho = np.geomspace(*_SAMPLE_SPAN, _SAMPLE_COUNT)
+    theta = np.geomspace(*_SAMPLE_SPAN, _SAMPLE_COUNT)
 
     for name, desc, ok in [
         ("gamma", "gamma must exceed 3/2", law.gamma > 1.5),

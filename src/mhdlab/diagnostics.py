@@ -442,22 +442,6 @@ def _quintic_bump_d2(s: np.ndarray) -> np.ndarray:
     return np.where(a < 1.0, out, 0.0)
 
 
-def _quintic_bump_at(s: float) -> tuple[float, float]:
-    """_quintic_bump and _quintic_bump_d1 at one point, in plain floats.
-
-    The time profile is evaluated twice per (member, record time); numpy's
-    0-d path costs about ten times as much per call.  The arithmetic is the
-    same, so are the bits.
-    """
-    a = abs(s)
-    if a >= 1.0:
-        return 0.0, 0.0
-    value = 1.0 - 10.0 * a**3 + 15.0 * a**4 - 6.0 * a**5
-    slope = -30.0 * a**2 + 60.0 * a**3 - 30.0 * a**4
-    sign = (s > 0.0) - (s < 0.0)  # np.sign(s)
-    return value, sign * slope
-
-
 class SpaceTimeTestFunction:
     """Separable phi(x,t) = r(t) * S(x) with analytic derivatives.
 
@@ -524,14 +508,14 @@ class SpaceTimeTestFunction:
     def r(self, t: float) -> float:
         s = t / self.T
         if self.profile == "rampdown":
-            return _quintic_bump_at(s)[0]
-        return _quintic_bump_at((s - 0.4) / 0.35)[0]
+            return float(_quintic_bump(np.asarray(s)))
+        return float(_quintic_bump(np.asarray((s - 0.4) / 0.35)))
 
     def rprime(self, t: float) -> float:
         s = t / self.T
         if self.profile == "rampdown":
-            return _quintic_bump_at(s)[1] / self.T
-        return _quintic_bump_at((s - 0.4) / 0.35)[1] / (0.35 * self.T)
+            return float(_quintic_bump_d1(np.asarray(s))) / self.T
+        return float(_quintic_bump_d1(np.asarray((s - 0.4) / 0.35))) / (0.35 * self.T)
 
 
 _BANK_CENTERS = (

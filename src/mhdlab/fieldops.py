@@ -32,7 +32,8 @@ on a 2D or 3D grid, one ODD d1 on the operands of the other active axes
 only.  One pass along axis j yields d_j of every operand, so it keeps its
 tables by column, T[j][i] = d_j F_i: the transpose of the row layout
 G[i, j] of vector_gradient.  Its phase-2 tables are pruned to the entries
-that feed a term, and it keeps them in per-thread scratch buffers.
+that feed a term, and it keeps them in the buffers of its compiled
+program.
 
 Step lists: d1_steps and d2_steps pass each numpy call of one stencil,
 for a given grid, operand, axis, parity and out, to emit(fn, *args,

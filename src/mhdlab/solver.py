@@ -31,33 +31,29 @@ left out of a sum only where that cannot move a bit: where the sum is
 padded with +0.0, which already fixes the sign of a zero result, or where
 it is a +0.0 being subtracted.
 
-rhs is compiled.  On the first call for a (grid, law, params) in a thread,
-_compile_rhs resolves everything that depends only on that key: every view
-of the scratch stacks, the row lists, the loops over the active axes, the
-lam branch, the curl curl and stress assembly and the folded sums.  It
-emits the body as a flat list of functools.partial calls on the thread's
-scratch buffers, with every scalar taken from the key objects.  A law
-piece that is not a Const coefficient (mu, lam, p_e, p_th), and each of
-heat_content and conductivity_potential, stays one call of the law's own
-function, whose result is copied into scratch.  A later call copies rho,
-u, theta and H into the bound input buffers, replays the list and copies
-the bound output stack into out; sources are added after.  Each stencil enters
+rhs is compiled.  _compile_rhs resolves everything that depends only on
+(grid, law, params): every buffer and view, the row lists, the loops over
+the active axes, the lam branch, the curl curl and stress assembly and the
+folded sums.  It emits the body as a flat list of functools.partial calls
+on the buffers it allocated, with every scalar taken from the key objects.
+A law piece that is not a Const coefficient (mu, lam, p_e, p_th), and each
+of heat_content and conductivity_potential, stays one call of the law's own
+function, whose result is copied into a buffer.  A call copies rho, u,
+theta and H into the bound input buffers, replays the list and copies the
+bound output stack into out; sources are added after.  Each stencil enters
 the list as its steps: fieldops.d1_steps or d2_steps, looked up in fieldops
 when the program compiles, emit the numpy calls of that d1 or d2 bound to
-the scratch buffers.  A replay therefore calls neither fieldops.d1 nor d2,
-and a wrapper of a step builder sees each stencil once per key.  The key
-holds the grid, not only its shape, because two grids of one shape can
-differ in spacing.
+the program's buffers.  A replay therefore calls neither fieldops.d1 nor
+d2, and a wrapper of a step builder sees each stencil once per compile.
+The key holds the grid, not only its shape, because two grids of one shape
+can differ in spacing.
 
-Scratch buffers and compiled lists live in a workspace that each thread
-keeps for its last 4 grid shapes, with the lists of its last 4 keys per
-shape, so a call allocates none of them; run() drops its grid shape's
-workspace when it returns or raises.
-
-step holds the conserved tuple, and each of its two stage rates, as one
-stack of 8 rows (rho, w, m, H), which rhs fills through its out= argument.
-Each stage update, wall reset and finiteness check is then one call over
-the stack.  The stacks are per-thread scratch as well; the returned State
+Each thread keeps one program, that of its last key, and compiles anew
+when the key changes; run() drops it when it returns or raises.  The
+program also holds the stacks of step, which holds the conserved tuple,
+and each of its two stage rates, as one stack of 8 rows (rho, w, m, H)
+that rhs fills through its out= argument.  Each stage update, wall reset
+and finiteness check is then one call over the stack.  The returned State
 owns new arrays.
 
 Regularization knobs: epsilon adds mass diffusion (with its compensating
@@ -190,7 +186,6 @@ class MollificationReport:
     rho_lowered_nodes: int
     momentum_zero_mask: np.ndarray
     theta_raised_nodes: int
-    theta_lowered_nodes: int
     wall_speed_cleaned: float
     wall_field_cleaned: float
     div_defect_before: float
@@ -206,17 +201,15 @@ def mollify_initial_data(
     theta0,
     H0,
     *,
-    theta_lo: float = 1e-3,
-    theta_hi: float | None = None,
     projector: DivFreeProjector | None = None,
 ):
     """Clamp and project raw initial fields into the scheme's admissible set.
 
     rho is clamped into [delta, delta^(-1/(2 beta))] and the velocity is
     zeroed wherever the clamp lowered rho (so no kinetic energy is invented
-    at capped nodes); theta is clamped into [theta_lo, theta_hi]; u and H
-    walls are zeroed; H is projected divergence-free.  Returns the admissible
-    State at t=0 plus a report of everything that was altered.
+    at capped nodes); theta is raised to at least 1e-3; u and H walls are
+    zeroed; H is projected divergence-free.  Returns the admissible State at
+    t=0 plus a report of everything that was altered.
     """
     ensure_compatible(law, params)
     rho0 = np.asarray(rho0, dtype=float)
@@ -231,10 +224,6 @@ def mollify_initial_data(
         raise ConfigError(
             f"initial density must be non-negative, min = {float(np.min(rho0)):.6g}"
         )
-    if not theta_lo > 0.0:
-        raise ConfigError(f"theta_lo must be positive, got {theta_lo}")
-    if theta_hi is not None and not theta_hi >= theta_lo:
-        raise ConfigError(f"theta_hi={theta_hi} must be >= theta_lo={theta_lo}")
 
     floor = params.delta
     cap = params.delta ** (-1.0 / (2.0 * params.beta))
@@ -247,7 +236,7 @@ def mollify_initial_data(
     grid.zero_walls(u)
     u[:, lowered] = 0.0
 
-    theta = np.clip(theta0, theta_lo, np.inf if theta_hi is None else theta_hi)
+    theta = np.maximum(theta0, 1e-3)
 
     H = H0.copy()
     wall_field = grid.wall_max(H)
@@ -265,7 +254,6 @@ def mollify_initial_data(
         rho_lowered_nodes=int(np.count_nonzero(lowered)),
         momentum_zero_mask=lowered,
         theta_raised_nodes=int(np.count_nonzero(theta > theta0)),
-        theta_lowered_nodes=int(np.count_nonzero(theta < theta0)),
         wall_speed_cleaned=wall_speed,
         wall_field_cleaned=wall_field,
         div_defect_before=div_before,
@@ -284,43 +272,32 @@ _RHO, _W, _M, _H = 0, 1, slice(2, 5), slice(5, 8)
 _WALLED = slice(2, 8)
 _BLOCKS = (("mass", _RHO), ("momentum", _M), ("thermal", _W), ("magnetic", _H))
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-# grid shapes whose scratch buffers a thread keeps, and compiled rhs
-# programs kept per grid shape
-_SHAPES_KEPT = 4
-_PROGRAMS_KEPT = 4
 
 
-def _kept(kept: dict, key, build, limit: int):
-    """kept[key], built on a miss; the dict holds its last `limit` keys,
-    most recent last."""
-    value = kept.pop(key, None)
-    if value is None:
-        value = build()
-        if len(kept) >= limit:
-            del kept[next(iter(kept))]
-    kept[key] = value
-    return value
+class _Slot(threading.local):
+    """The compiled rhs program of this thread's last (grid, law, params).
 
-
-class _PerThread(threading.local):
-    """Scratch buffers of one kind, kept per thread for its last few grid
-    shapes; a thread's buffers are freed with the thread.
-
-    They are kept from call to call because allocating and freeing stacks
-    this large on every call makes malloc return them to the system and
-    fault them back in: so allocated, the stacked rhs measured slower on
-    65x65 and 17^3 than the term-by-term assembly it replaced.
+    A thread keeps one program, whose buffers are freed with the thread or
+    when run() returns.  They are kept from call to call because
+    allocating and freeing stacks this large on every call makes malloc
+    return them to the system and fault them back in: so allocated, the
+    stacked rhs measured slower on 65x65 and 17^3 than the term-by-term
+    assembly it replaced.
     """
 
-    def __init__(self, build):
-        self.build = build
-        self.kept = {}
+    key = None
+    program = None
 
-    def get(self, shape: tuple) -> SimpleNamespace:
-        return _kept(self.kept, shape, lambda: self.build(shape), _SHAPES_KEPT)
 
-    def drop(self, shape: tuple) -> None:
-        self.kept.pop(shape, None)
+_slot = _Slot()
+
+
+def _program(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> SimpleNamespace:
+    """This thread's program for the key, compiled when the key changes."""
+    key = (grid, law, params)
+    if key != _slot.key:
+        _slot.key, _slot.program = key, _compile_rhs(grid, law, params)
+    return _slot.program
 
 
 def _rows(idx) -> slice:
@@ -330,64 +307,25 @@ def _rows(idx) -> slice:
     return slice(idx[0], idx[-1] + 1, step)
 
 
-def _rhs_scratch(shape: tuple) -> SimpleNamespace:
-    """Scratch buffers of rhs for one grid shape, and its compiled programs.
-
-    No value carries over: a program writes every slot it reads, and the
-    columns of suppressed axes in odd_col and even_col, never written, stay
-    zero.  The inputs are copied into theta, odd[0:6] (u, H) and even[4]
-    (rho); a program writes its result into out.
-    """
-
-    def buf(*lead):
-        return np.zeros(lead + shape)
-
-    odd = buf(8)  # phase 1 ODD operands: u, H, rho u_j, rho Q u_j
-    even = buf(6)  # phase 1 EVEN operands: u x H, ptot, rho, K
-    return SimpleNamespace(
-        programs={},
-        spare=[],  # intermediates of law pieces, allocated as programs ask
-        odd=odd,
-        even=even,
-        rho=even[4],
-        u=odd[0:3],
-        theta=buf(),
-        H=odd[3:6],
-        out=buf(8),
-        odd2=buf(6),  # phase 2 operands
-        even2=buf(9),
-        odd_col=buf(3, 8),
-        even_col=buf(3, 5),
-        along=buf(3, 9),
-        across=buf(3, 6),
-        rho_u=buf(3),
-        rho_q=buf(),
-        theta_pth=buf(),
-        lap=buf(2),
-        flux_div=buf(2),
-        divu=buf(),
-        curl_H=buf(3),
-        stress=buf(3),
-        eps_force=buf(3),
-        sym=buf(3, 3),
-        diss=buf(),
-        heating=buf(),
-        tmp=buf(),
-        tmp3=buf(3),
-    )
-
-
-_rhs_workspace = _PerThread(_rhs_scratch)
-
-
 def _call_into(fn, x, out) -> None:
     np.copyto(out, fn(x))
 
 
-def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> list:
-    """The body of rhs as a list of calls on ws's buffers, for one grid, law
-    and scheme; every view, row list, loop and branch is resolved here."""
+def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> SimpleNamespace:
+    """The program of rhs and step for one grid, law and scheme: the body of
+    rhs as a list of calls, every view, row list, loop and branch resolved,
+    and the buffers they bind.
+
+    No value carries over between replays: the calls write every buffer
+    they read, except the inputs rho, u, theta and H, which rhs copies in,
+    and the columns of suppressed axes in odd_col and even_col, never
+    written, which stay zero.  The result is in out.
+    """
     calls = []
+    shape = grid.shape
+
+    def buf(*lead):
+        return np.zeros(lead + shape)
 
     def emit(fn, *args, **kwargs):
         # a float operand as a 0-d array, which numpy takes faster to the
@@ -399,22 +337,12 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
         # the steps of fieldops.d1 or d2, bound to these operands
         getattr(fieldops, f"{name}_steps")(grid, f, axis, parity, out, emit)
 
-    used = 0
-
-    def scratch():
-        # a buffer no other call of this program writes; programs share them
-        nonlocal used
-        if used == len(ws.spare):
-            ws.spare.append(np.zeros(grid.shape))
-        used += 1
-        return ws.spare[used - 1]
-
     def piece(prim, x):
         # a Const coefficient is its float, which scales an array to the
         # same bits as a filled array would, without filling one
         if isinstance(prim, Const):
             return prim.c
-        out = scratch()
+        out = buf()
         emit(_call_into, prim, x, out)
         return out
 
@@ -433,32 +361,32 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
         # fieldops.cross, component by component
         for c, i, j in _CYCLIC:
             emit(np.multiply, a[i], b[j], out[c])
-            emit(np.multiply, a[j], b[i], ws.tmp)
-            emit(np.subtract, out[c], ws.tmp, out[c])
+            emit(np.multiply, a[j], b[i], tmp)
+            emit(np.subtract, out[c], tmp, out[c])
 
     eps = params.epsilon
     delta = params.delta
-    shape = grid.shape
     axes = grid.active_axes
     # a sum over all three axes meets the exact zero column of a suppressed one
     padded = len(axes) < 3
-    out = ws.out
+    out = buf(8)
     drho, dw, dm, induction = out[_RHO], out[_W], out[_M], out[_H]
-    tmp, tmp3 = ws.tmp, ws.tmp3
-    odd, even, odd_col, even_col = ws.odd, ws.even, ws.odd_col, ws.even_col
-    rho, u, theta, H = ws.rho, ws.u, ws.theta, ws.H
+    tmp, tmp3 = buf(), buf(3)
+    odd = buf(8)  # phase 1 ODD operands: u, H, rho u_j, rho Q u_j
+    even = buf(6)  # phase 1 EVEN operands: u x H, ptot, rho, K
+    rho, u, theta, H = even[4], odd[0:3], buf(), odd[3:6]
 
     mu = piece(law.mu, theta)
     lam = None if _is_zero_coeff(law.lam) else piece(law.lam, theta)
-    rho_u = ws.rho_u
+    rho_u = buf(3)
     emit(np.multiply, rho, u, rho_u)
-    q = scratch()
+    q = buf()
     emit(_call_into, partial(heat_content, law), theta, q)
-    rho_q = ws.rho_q
+    rho_q = buf()
     emit(np.multiply, rho, q, rho_q)
     # theta p_th(rho): in the pressure and in the thermal block
-    theta_pth = ws.theta_pth
-    p_th = scratch()
+    theta_pth = buf()
+    p_th = buf()
     emit(_call_into, law.p_th, rho, p_th)
     emit(np.multiply, theta, p_th, theta_pth)
 
@@ -475,12 +403,13 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     emit(np.multiply, tmp, delta, tmp)
     emit(np.add, even[3], tmp, even[3])
     emit(_call_into, partial(conductivity_potential, law), theta, even[5])
+    odd_col, even_col = buf(3, 8), buf(3, 5)
     for j in axes:
         emit(np.copyto, odd[6], rho_u[j])
         emit(np.multiply, rho_q, u[j], odd[7])
         stencil("d1", odd, j, ODD, odd_col[j])
         stencil("d1", even[:5], j, EVEN, even_col[j])
-    lap = ws.lap  # lap rho, lap K
+    lap = buf(2)  # lap rho, lap K
     for n, j in enumerate(axes):
         if n:
             stencil("d2", even[4:], j, EVEN, tmp3[:2])
@@ -488,12 +417,12 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
         else:
             stencil("d2", even[4:], j, EVEN, lap)
             emit(np.add, lap, 0.0, lap)
-    flux_div = ws.flux_div  # div(rho u), div(rho Q u)
+    flux_div = buf(2)  # div(rho u), div(rho Q u)
     fold(flux_div, [odd_col[j, 6:8] for j in axes])
-    divu = ws.divu
+    divu = buf()
     fold(divu, [odd_col[j, j] for j in axes], padded)
 
-    curl_H = ws.curl_H
+    curl_H = buf(3)
     for c, i, j in _CYCLIC:
         emit(np.subtract, odd_col[i, 3 + j], odd_col[j, 3 + i], curl_H[c])
         emit(np.subtract, even_col[i, j], even_col[j, i], induction[c])
@@ -511,22 +440,22 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     n_other = len(axes) - 1
     n_even = 8 if lam is None else 9
     n_odd = (2 if lam is None else 3) * n_other
-    even2, odd2 = ws.even2[:n_even], ws.odd2[:n_odd]
-    along, across = ws.along, ws.across
+    even2, odd2 = buf(n_even), buf(n_odd)
+    along, across = buf(3, n_even), buf(3, n_odd)
     for j in axes:
         emit(np.copyto, even2[0:2], odd_col[j, 3:][_rows(h_slot[j])])
         emit(np.multiply, mu, odd_col[j, 0:3], even2[2:5])
         emit(np.multiply, rho_u, u[j], even2[5:8])
         if lam is not None:
             emit(np.multiply, lam, odd_col[j, j], even2[8])
-        stencil("d1", even2, j, EVEN, along[j, :n_even])
+        stencil("d1", even2, j, EVEN, along[j])
         if n_other:
             for s, k in enumerate(others[j]):
                 emit(np.copyto, odd2[s], odd_col[k, 3 + j])
                 emit(np.multiply, mu, odd_col[k, j], odd2[n_other + s])
                 if lam is not None:
                     emit(np.multiply, lam, odd_col[k, k], odd2[2 * n_other + s])
-            stencil("d1", odd2, j, ODD, across[j, :n_odd])
+            stencil("d1", odd2, j, ODD, across[j])
 
     def dd_along(a, c):  # d_a d_a H_c, None for a suppressed a
         return along[a, h_slot[a].index(c)] if a in axes else None
@@ -567,7 +496,7 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     # div psi: d_j [mu d_j u_i] is EVEN along j and d_j [mu d_i u_j] ODD for
     # i != j, so the i = j entry comes from the EVEN pass; the entries of a
     # suppressed i are exact zeros, left out of the padded sum
-    stress = ws.stress
+    stress = buf(3)
     for n, j in enumerate(axes):
         if n:
             emit(np.add, stress, along[j, 2:5], stress)
@@ -588,7 +517,7 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     emit(np.negative, dm, dm)
     for j in axes:
         emit(np.subtract, dm[j], even_col[j, 3], dm[j])
-    eps_force = ws.eps_force
+    eps_force = buf(3)
     for n, j in enumerate(axes):
         if n:
             emit(np.multiply, odd_col[j, 0:3], even_col[j, 4], tmp3)
@@ -609,15 +538,15 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     # squares are never -0.0, so the exact zeros of pairs of suppressed axes
     # change no bit of the sum.  A reduction over the leading axis of a
     # C-contiguous stack adds its rows in order, as a loop would.
-    sym = ws.sym
+    sym = buf(3, 3)
     emit(np.add, odd_col[:, 0:3], odd_col[:, 0:3].swapaxes(0, 1), sym)
     emit(np.multiply, sym, sym, sym)
-    diss = ws.diss
+    diss = buf()
     emit(np.add.reduce, sym.reshape((9,) + shape), axis=0, out=diss)
     if isinstance(mu, float):
         emit(np.multiply, diss, 0.5 * mu, diss)
     else:
-        half_mu = scratch()
+        half_mu = buf()
         emit(np.multiply, mu, 0.5, half_mu)
         emit(np.multiply, diss, half_mu, diss)
     if lam is not None:
@@ -625,12 +554,12 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
         emit(np.multiply, tmp, divu, tmp)
         emit(np.add, diss, tmp, diss)
     emit(np.multiply, curl_H, curl_H, tmp3)
-    heating = ws.heating
+    heating = buf()
     emit(np.add.reduce, tmp3, axis=0, out=heating)
     emit(np.multiply, heating, law.nu, heating)
     emit(np.add, heating, diss, heating)
     emit(np.multiply, heating, 1.0 - delta, heating)
-    emit(np.subtract, ws.lap[1], flux_div[1], dw)
+    emit(np.subtract, lap[1], flux_div[1], dw)
     emit(np.power, theta, law.alpha + 1.0, tmp)
     emit(np.multiply, tmp, delta, tmp)
     emit(np.subtract, dw, tmp, dw)
@@ -641,7 +570,14 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, ws) -> 
     # mass: -div(rho u) + eps lap(rho)
     emit(np.multiply, lap[0], eps, drho)
     emit(np.subtract, drho, flux_div[0], drho)
-    return calls
+
+    # step's conserved stacks: the state x0, the stage-1 state x1 and the
+    # two stage rates; the stage-2 state is built in k2
+    x0, x1, k1, k2 = (np.empty((8,) + shape) for _ in range(4))
+    finite = np.empty((8,) + shape, bool)
+    return SimpleNamespace(
+        calls=calls, rho=rho, u=u, theta=theta, H=H, out=out, x0=x0, x1=x1, k1=k1, k2=k2, finite=finite
+    )
 
 
 def rhs(
@@ -665,23 +601,17 @@ def rhs(
     (8, *grid.shape) with rows rho, w, m, H, into which the blocks are
     written; the returned blocks are views of it.
     """
-    ws = _rhs_workspace.get(grid.shape)
-    program = _kept(
-        ws.programs,
-        (grid, law, params),
-        lambda: _compile_rhs(grid, law, params, ws),
-        _PROGRAMS_KEPT,
-    )
-    np.copyto(ws.rho, rho)
-    np.copyto(ws.u, u)
-    np.copyto(ws.theta, theta)
-    np.copyto(ws.H, H)
-    for call in program:
+    program = _program(grid, law, params)
+    np.copyto(program.rho, rho)
+    np.copyto(program.u, u)
+    np.copyto(program.theta, theta)
+    np.copyto(program.H, H)
+    for call in program.calls:
         call()
     if out is None:
-        out = ws.out.copy()
+        out = program.out.copy()
     else:
-        np.copyto(out, ws.out)
+        np.copyto(out, program.out)
     blocks = out[_RHO], out[_M], out[_W], out[_H]
     if sources is not None:
         for block, source in zip(blocks, sources(t)):
@@ -773,19 +703,6 @@ def _check_finite(x: np.ndarray, finite: np.ndarray, t: float) -> None:
                 )
 
 
-def _step_scratch(shape: tuple) -> SimpleNamespace:
-    """Conserved stacks of step: the state x0, the stage-1 state x1 and the
-    two stage rates; the stage-2 state is built in k2."""
-
-    def stack(dtype=float):
-        return np.empty((8,) + shape, dtype)
-
-    return SimpleNamespace(x0=stack(), x1=stack(), k1=stack(), k2=stack(), finite=stack(bool))
-
-
-_step_workspace = _PerThread(_step_scratch)
-
-
 def step(
     grid: Grid,
     law: ConstitutiveLaw,
@@ -813,8 +730,8 @@ def step(
             f"dt={dt:.6g} exceeds the stability limit {dt_limit:.6g} at t={t:.6g}"
         )
 
-    ws = _step_workspace.get(grid.shape)
-    x0, x1, k1, k2 = ws.x0, ws.x1, ws.k1, ws.k2
+    program = _program(grid, law, params)
+    x0, x1, k1, k2 = program.x0, program.x1, program.k1, program.k2
     rho0 = state.rho
     x0[_RHO] = rho0
     np.multiply(rho0, state.u, out=x0[_M])
@@ -825,7 +742,7 @@ def step(
     np.multiply(k1, dt, out=x1)
     x1 += x0
     grid.zero_walls(x1[_WALLED])
-    _check_finite(x1, ws.finite, t)
+    _check_finite(x1, program.finite, t)
     u1, th1 = _recover(law, params, x1, incidents, "stage 1", t)
 
     t2 = t + dt
@@ -835,7 +752,7 @@ def step(
     x2 *= 0.5 * dt
     x2 += x0
     grid.zero_walls(x2[_WALLED])
-    _check_finite(x2, ws.finite, t2)
+    _check_finite(x2, program.finite, t2)
     u2, th2 = _recover(law, params, x2, incidents, "stage 2", t2)
     # project returns a new array
     return State(grid, x2[_RHO].copy(), u2, th2, projector.project(x2[_H]), t2)
@@ -950,6 +867,5 @@ def run(
         result.steps = steps
         return result
     finally:
-        # the thread's scratch of this grid, its rhs programs with it
-        _rhs_workspace.drop(grid.shape)
-        _step_workspace.drop(grid.shape)
+        # the thread's program and its buffers
+        _slot.key = _slot.program = None

@@ -30,9 +30,6 @@ from mhdlab.constitutive import (
 )
 from mhdlab.diagnostics import (
     SpaceTimeTestFunction,
-    _quintic_bump,
-    _quintic_bump_at,
-    _quintic_bump_d1,
     apriori_norms,
     artificial_pressure_monitor,
     energy_budget_check,
@@ -639,19 +636,6 @@ def test_weak_residual_conductivity_table_spans_trajectory(moving_run):
     scale = max(abs(v) for v in want.values())
     # measured 2.1e-14 of the largest residual
     assert max(abs(v - want[name]) for name, v in rep.residuals) <= 2e-13 * scale
-
-
-def test_scalar_bump_matches_array_bump():
-    # one point at a time, as the time profile is evaluated: numpy's 0-d
-    # path uses the scalar pow, while long arrays may take a SIMD pow whose
-    # last bit differs
-    s = [float(x) for x in np.linspace(-1.5, 1.5, 3001)] + [0.0, -0.0, 1.0, -1.0]
-    want = [
-        (float(_quintic_bump(np.asarray(x))), float(_quintic_bump_d1(np.asarray(x))))
-        for x in s
-    ]
-    got = [_quintic_bump_at(x) for x in s]
-    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_test_bank_is_admissible(rest_run):

@@ -369,13 +369,14 @@ def test_double_curl_equals_curl_of_curl_interior(shape):
 
 
 def _guard_stencils(monkeypatch, calls):
-    """Record every d1/d2 call, under every name mhdlab binds them to."""
-    for name in ("d1", "d2"):
+    """Record every d1/d2 call and every build of their steps, under every
+    name mhdlab binds them to."""
+    for name in ("d1", "d2", "d1_steps", "d2_steps"):
         fn = getattr(fieldops, name)
 
-        def guarded(grid, f, axis, parity, out=None, _fn=fn, _name=name):
+        def guarded(grid, f, axis, parity, *args, _fn=fn, _name=name, **kwargs):
             calls.append((_name, axis, grid.shape[axis]))
-            return _fn(grid, f, axis, parity, out)
+            return _fn(grid, f, axis, parity, *args, **kwargs)
 
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("mhdlab") and getattr(mod, name, None) is fn:
@@ -386,6 +387,7 @@ def _guard_stencils(monkeypatch, calls):
 def test_no_stencil_along_suppressed_axes(shape, monkeypatch):
     from mhdlab.diagnostics import record, thermal_weak_residual
     from mhdlab.projection import DivFreeProjector
+    from mhdlab import solver
     from mhdlab.solver import SchemeParams, State, rhs
 
     g = Grid(shape=shape, extents=(1.0, 1.5, 1.0))
@@ -400,7 +402,11 @@ def test_no_stencil_along_suppressed_axes(shape, monkeypatch):
 
     calls = []
     _guard_stencils(monkeypatch, calls)
+    # rhs builds its stencils' steps when it compiles, so it must compile
+    # under the guard
+    solver._slot.key = solver._slot.program = None
     rhs(g, law, params, rho, u, theta, H)
+    assert calls, "the guard saw rhs build no stencil"
     record(g, law, params, states[0])
     thermal_weak_residual(g, law, params, states)
     DivFreeProjector(g).project(H)

@@ -127,9 +127,7 @@ def test_mollify_clamp_branches():
     theta0[1, 1, 0] = 1e-6
     H0 = np.zeros((3,) + grid.shape)
 
-    state, rep = mollify_initial_data(
-        grid, law, params, rho0, u0, theta0, H0, theta_lo=1e-3
-    )
+    state, rep = mollify_initial_data(grid, law, params, rho0, u0, theta0, H0)
     # cap = delta^(-1/(2 beta)) = 0.01^(-1/8) = 10^(1/4)
     assert rep.rho_cap == pytest.approx(1.7782794100389228, rel=1e-14)
     assert state.rho[1, 1, 0] == pytest.approx(1.7782794100389228, rel=1e-14)
@@ -345,10 +343,10 @@ def test_rhs_bitwise_matches_reference_with_mms_sources():
 
 
 def test_compiled_rhs_follows_its_key():
-    # rhs keeps its compiled programs per (grid, law, params) in one
-    # thread's workspace of a grid shape: a change of spacing, of a scheme
-    # weight or of the law must give the reference bits, on the compiling
-    # call and on the replay that follows it
+    # a thread keeps the program of its last (grid, law, params): a change
+    # of spacing, of a scheme weight or of the law must recompile and give
+    # the reference bits.  The keys are run twice over, interleaved, so
+    # every call recompiles.
     shape = (9, 7, 1)
     grids = [Grid(shape=shape, extents=(1.0, 1.3, 1.0)), Grid(shape=shape, extents=(2.0, 0.7, 1.0))]
     params = [SchemeParams(epsilon=0.05, delta=0.1), SchemeParams(epsilon=0.2, delta=0.1)]
@@ -363,12 +361,14 @@ def test_compiled_rhs_follows_its_key():
         ),
     ]
     fields, _ = _random_state(grids[0], 7, True)
-    for grid in grids:
-        for law in laws:
-            for p in params:
-                want = _reference_rhs(grid, law, p, *fields)
-                for _ in range(2):
-                    _assert_bitwise(rhs(grid, law, p, *fields), want)
+    keys = [(grid, law, p) for grid in grids for law in laws for p in params]
+    wants = [_reference_rhs(*key, *fields) for key in keys]
+    programs = []
+    for _ in range(2):
+        for key, want in zip(keys, wants):
+            _assert_bitwise(rhs(*key, *fields), want)
+            programs.append(solver._slot.program)
+    assert len({id(p) for p in programs}) == len(programs)
 
 
 def _in_threads(work, n):
@@ -450,20 +450,17 @@ def test_scratch_buffers_are_kept_per_live_thread_and_freed_with_it():
     params = SchemeParams(epsilon=0.05, delta=0.1)
     state = _smooth_state(grid, law, params)
     proj = DivFreeProjector(grid)
-    n = 6  # more threads than a thread keeps grid shapes
+    n = 6
     barrier = threading.Barrier(n)
     kept, refs = [False] * n, []
 
-    def scratch():
-        return solver._rhs_workspace.get(grid.shape), solver._step_workspace.get(grid.shape)
-
     def work(i):
         step(grid, law, params, state, 1e-4, projector=proj)
-        first = scratch()
+        first = solver._slot.program
         barrier.wait()  # every thread holds its buffers now
         step(grid, law, params, state, 1e-4, projector=proj)
-        kept[i] = all(a is b for a, b in zip(first, scratch()))
-        refs.extend((weakref.ref(first[0].tmp), weakref.ref(first[1].x0)))
+        kept[i] = solver._slot.program is first
+        refs.extend((weakref.ref(first.out), weakref.ref(first.x0)))
 
     _in_threads(work, n)
     assert all(kept)
@@ -481,12 +478,10 @@ def test_step_results_own_their_arrays():
     s0 = _smooth_state(grid, law, params)
     s1 = step(grid, law, params, s0, 1e-4, projector=proj)
     s2 = step(grid, law, params, s1, 1e-4, projector=proj)
-    scratch = [
-        a
-        for ws in (solver._rhs_workspace.get(grid.shape), solver._step_workspace.get(grid.shape))
-        for a in vars(ws).values()
-        if isinstance(a, np.ndarray)
-    ]
+    # the program's stacks, and every buffer its calls bind
+    program = solver._slot.program
+    scratch = [a for a in vars(program).values() if isinstance(a, np.ndarray)]
+    scratch += [a for call in program.calls for a in call.args if isinstance(a, np.ndarray)]
     arrays = [a for s in (s0, s1, s2) for a in (s.rho, s.u, s.theta, s.H)]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
@@ -524,16 +519,14 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
     # on [rho, K]; phase 2: one EVEN d1 per axis and, where other axes are
     # active, one ODD d1 on their operands alone.  The program binds the
     # steps of each stencil when it compiles, so the step builders are hooked
-    # and see each stencil once per key.
+    # and see each stencil once per compile.
     grid = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
     fields, _ = _random_state(grid, 3, False)
     law, params = make_standard_law(lam0=lam0), SchemeParams(epsilon=0.05, delta=0.1)
     want = _reference_rhs(grid, law, params, *fields)
-    # compiled before the builders are hooked; the programs of other tests
-    # for this shape are dropped, so the next key compiles afresh
+    # compiled before the builders are hooked
     compiled = SchemeParams(epsilon=0.06, delta=0.1)
     want_compiled = _reference_rhs(grid, law, compiled, *fields)
-    solver._rhs_workspace.drop(grid.shape)
     rhs(grid, law, compiled, *fields)
     calls = []
     for name in ("d1", "d2"):
@@ -544,6 +537,10 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
             _build(grid, f, axis, parity, out, emit)
 
         monkeypatch.setattr(fieldops, f"{name}_steps", counted)
+    # a replay of the program compiled before the hook builds no step
+    for _ in range(2):
+        _assert_bitwise(rhs(grid, law, compiled, *fields), want_compiled)
+    assert calls == []
     _assert_bitwise(rhs(grid, law, params, *fields), want)
     n = grid.ndim_active
     lam = lam0 > 0.0
@@ -553,11 +550,10 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
         phase2.append(("d1", ODD, (3 if lam else 2) * (n - 1)))
     assert calls == phase1 + phase2 * n
     assert [c[0] for c in calls].count("d1") == {1: 3, 2: 8, 3: 12}[n]
-    # replays build no step, a program compiled before the hook included
+    # nor does a replay of the program compiled under it
     first = calls[:]
     for _ in range(2):
         _assert_bitwise(rhs(grid, law, params, *fields), want)
-        _assert_bitwise(rhs(grid, law, compiled, *fields), want_compiled)
     assert calls == first
 
 
@@ -683,9 +679,7 @@ def small_2d_run():
     grid = Grid(shape=(48, 40, 1), extents=(1.2, 1.0, 1.0))
     law = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
     params = SchemeParams(epsilon=0.05, delta=0.1, t_end=0.02)
-    state0, _ = mollify_initial_data(
-        grid, law, params, *_smooth_2d_fields(grid), theta_lo=1e-3
-    )
+    state0, _ = mollify_initial_data(grid, law, params, *_smooth_2d_fields(grid))
     res = run(grid, law, params, state0, record_every=20, keep_states=True)
     return grid, law, params, state0, res
 
@@ -821,12 +815,11 @@ def test_run_frees_its_scratch_on_return_and_on_failure():
     held = []
 
     def holds():
-        kept = (solver._rhs_workspace.kept, solver._step_workspace.kept)
-        return [grid.shape in k for k in kept]
+        return solver._slot.program is not None
 
     run(grid, law, params, state, record_every=1, observer=lambda *_: held.append(holds()))
-    assert held[1:] == [[True, True]] * 3
-    assert holds() == [False, False]
+    assert held[1:] == [True] * 3
+    assert not holds()
 
     sink = np.full(grid.shape, -1e5)
 
@@ -837,8 +830,8 @@ def test_run_frees_its_scratch_on_return_and_on_failure():
     held.clear()
     with pytest.raises(InvariantViolation, match="density positivity lost"):
         run(grid, law, params, state, sources=sources)
-    assert held == [[True, True]]
-    assert holds() == [False, False]
+    assert held == [True]
+    assert not holds()
 
 
 def test_incident_log_totals():
