@@ -13,15 +13,15 @@ grid.active_axes.  Derivatives along a suppressed axis are exact zeros and
 are never computed.
 
 Gradient table: vector_gradient(grid, F, parity) returns G with
-G[i, j] = d_j F_i, built with one stacked d1 per active axis.  table_curl,
-double_curl, stress_tensor, stress_divergence and dissipation read a table,
-so a caller that needs several of them computes the table once and passes
-it on.
+G[i, j] = d_j F_i, built with one stacked d1 per active axis.  table_curl
+and dissipation read a table, so a caller that needs both computes the
+table once and passes it on.
 
-Composite operators (viscous stress divergence, double curl) apply the
-outer derivative term by term so each uses the parity the inner term
-actually has along that axis: d/dx_j of u_i flips the parity along x_j and
-leaves the other axes alone.
+Composite terms (the viscous stress divergence and curl curl H of
+solver.rhs, and the test-only oracle operators in tests/test_rhs_oracle.py)
+apply the outer derivative term by term so each uses the parity the inner
+term actually has along that axis: d/dx_j of u_i flips the parity along x_j
+and leaves the other axes alone.
 
 Stacking: d1 and d2 act on the last three axes, so leading axes stack any
 operands that share a parity, and a stacked call does for each operand the
@@ -71,14 +71,9 @@ __all__ = [
     "divergence",
     "table_curl",
     "curl",
-    "laplacian",
-    "stress_tensor",
-    "stress_divergence",
     "dissipation",
     "cross",
     "lorentz_force",
-    "induction_rhs",
-    "double_curl",
     "IdentityResidual",
     "identity_residual",
 ]
@@ -199,27 +194,9 @@ def curl(grid: Grid, F: np.ndarray, parity: int = ODD) -> np.ndarray:
     return table_curl(vector_gradient(grid, F, parity))
 
 
-def laplacian(grid: Grid, f: np.ndarray, parity: int = EVEN) -> np.ndarray:
-    out = np.zeros_like(f)
-    for a in grid.active_axes:
-        out += d2(grid, f, a, parity)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# viscous stress; du is the velocity gradient table du[i, j] = d_j u_i
+# viscous heating; du is the velocity gradient table du[i, j] = d_j u_i
 # ---------------------------------------------------------------------------
-
-
-def stress_tensor(law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
-    """psi_ij = mu(theta) (d_i u_j + d_j u_i) + lam(theta) div(u) delta_ij."""
-    mu = law.mu(theta)
-    lam = law.lam(theta)
-    divu = du[0, 0] + du[1, 1] + du[2, 2]
-    psi = mu * (du + np.swapaxes(du, 0, 1))
-    for i in range(3):
-        psi[i, i] += lam * divu
-    return psi
 
 
 def dissipation(law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
@@ -238,32 +215,6 @@ def dissipation(law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
 
 def _is_zero_coeff(fn) -> bool:
     return isinstance(fn, Const) and fn.c == 0.0
-
-
-def stress_divergence(grid: Grid, law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
-    """(div psi)_i, assembled term by term with parity-correct outer stencils.
-
-    d_j u_i is EVEN along axis j (odd field, one derivative) and the
-    coefficients mu(theta), lam(theta) are EVEN everywhere, so:
-      d_j [mu d_j u_i]  -> outer parity EVEN
-      d_j [mu d_i u_j]  -> parity of d_i u_j along j is ODD for i != j
-      d_i [lam d_k u_k] -> EVEN along i when k = i, ODD otherwise
-    """
-    mu = law.mu(theta)
-    out = grid.vector_field()
-    for j in grid.active_axes:
-        along = d1(grid, mu * du[:, j], j, EVEN)
-        across = d1(grid, mu * du[j], j, ODD)
-        across[j] = along[j]
-        out += along
-        out += across
-    if _is_zero_coeff(law.lam):
-        return out
-    lam = law.lam(theta)
-    for i in grid.active_axes:
-        for k in grid.active_axes:
-            out[i] += d1(grid, lam * du[k, k], i, EVEN if i == k else ODD)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,35 +239,6 @@ def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nda
 def lorentz_force(grid: Grid, H: np.ndarray) -> np.ndarray:
     """(curl H) x H."""
     return cross(curl(grid, H), H)
-
-
-def double_curl(grid: Grid, dH: np.ndarray) -> np.ndarray:
-    """curl(curl H) from the table dH[i, j] = d_j H_i.
-
-    (curl H)_c is a sum of terms d_a H_b; each is EVEN along a and ODD along
-    the other axes, so the outer derivative is applied per term: along[j][i]
-    = d_j d_j H_i and across[j][i] = d_j d_i H_j (for i != j).
-    """
-    along = np.zeros_like(dH)
-    across = np.zeros_like(dH)
-    for j in grid.active_axes:
-        along[j] = d1(grid, dH[:, j], j, EVEN)
-        across[j] = d1(grid, dH[j], j, ODD)
-    return np.stack(
-        [
-            across[1, 0] - along[1, 0] - along[2, 0] + across[2, 0],
-            across[2, 1] - along[2, 1] - along[0, 1] + across[0, 1],
-            across[0, 2] - along[0, 2] - along[1, 2] + across[1, 2],
-        ]
-    )
-
-
-def induction_rhs(grid: Grid, law: ConstitutiveLaw, u, H, dH) -> np.ndarray:
-    """curl(u x H) - nu curl(curl H), with dH the gradient table of H.
-
-    u x H is a product of two odd fields, hence EVEN along every axis.
-    """
-    return curl(grid, cross(u, H), parity=EVEN) - law.nu * double_curl(grid, dH)
 
 
 # ---------------------------------------------------------------------------

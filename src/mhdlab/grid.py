@@ -7,6 +7,7 @@ correctly).  Quadrature is the tensor trapezoid rule over the node values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -68,8 +69,8 @@ class Grid:
         for n, L in zip(self.shape, self.extents):
             if n < 1 or (n > 1 and n < 3):
                 raise ValueError(f"active axes need >= 3 nodes, got {n}")
-            if L <= 0.0:
-                raise ValueError(f"extents must be positive, got {L}")
+            if not 0.0 < L < math.inf:
+                raise ValueError(f"extents must be positive and finite, got {L}")
 
     @cached_property
     def active_axes(self) -> tuple[int, ...]:

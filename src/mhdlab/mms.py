@@ -35,7 +35,6 @@ import numpy as np
 from .constitutive import ConstitutiveLaw
 from .errors import ConfigError
 from .grid import Grid
-from .projection import projector_for
 from .solver import SchemeParams, State, run
 
 __all__ = [
@@ -437,13 +436,10 @@ def temporal_convergence_study(
     grid = Grid(shape=(cells + 1, 1, 1), extents=(np.pi, 1.0, 1.0))
     st0 = case.exact_state(grid, 0.0)
     src = case.source_callable(grid)
-    projector = projector_for(grid)
 
     def solve(dt):
         p = replace(params, dt=dt, t_end=t_end)
-        return run(
-            grid, law, p, st0, record_every=10**9, sources=src, projector=projector
-        ).final_state
+        return run(grid, law, p, st0, record_every=10**9, sources=src).final_state
 
     ref = solve(base_dt / 16.0)
     dts = tuple(base_dt / 2**k for k in range(refinements))

@@ -21,20 +21,33 @@ A = D_I D_I^T, where D_I keeps the columns of D that act on interior
 
 over the active axes, with d_a the 1D odd-parity first derivative and Z_a
 the 1D interior mask.  The constructor solves it by fast diagonalization
-(Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185).  On each axis, T_a and
-Z_a are diagonalized together in the metric M_a = T_a + Z_a/h_a^2:
+(Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185) in a closed-form basis.
+T_a and Z_a couple only nodes of equal index parity p.  On the m interior
+nodes J = 2 - p, 4 - p, ... <= n - 2 of a class, eliminating the class's
+wall nodes leaves T_a = tridiag(-1, 2, -1) / (4 h^2) with end diagonals
+1 / (4 h^2): eigenvalues s_k / h^2, s_k = sin^2(pi k / (2m)), and the
+orthonormal DCT-II eigenvectors c_k[t] = w_k cos(pi k (t + 1/2) / m),
+w_0 = sqrt(1/m), w_k = sqrt(2/m) (Swarztrauber, SIAM Rev. 19 (1977) 490).
+Mode k is held at node J[k], so the spectrum keeps the grid's shape:
 
-    V_a^T T_a V_a = Lambda_a,   V_a^T Z_a V_a = (1 - Lambda_a) h_a^2,
+    V_a[J[t], J[k]] = h c_k[t] / sqrt(1 + s_k),
+    lambda = s_k / (1 + s_k),   zeta = h^2 / (1 + s_k),
 
-so V = (x)_a V_a takes A to the diagonal tensor
+and a wall node takes half the row of the next node of its class
+(V_a[0] = V_a[2] / 2, V_a[n-1] = V_a[n-3] / 2).  Each wall node is a mode
+of its own, V_a[w, w] = h with lambda = 1, zeta = 0, except on a 3-node
+axis: there the walls share the mode (h/2, 0, -h/2), and column 2, in
+place of e_0 + e_2, which T_a and Z_a both null, is zero with
+lambda = zeta = 0.  So V_a^T T_a V_a = diag(lambda_a), V_a^T Z_a V_a =
+diag(zeta_a), and V = (x)_a V_a takes A to the diagonal tensor
 
-    sigma = sum_a Lambda_a (x)_{b != a} (1 - Lambda_b) h_b^2,
+    sigma = sum_a lambda_a (x)_{b != a} zeta_b,
 
-and project() computes lam = V (sigma^+ V^T b) with one matmul per axis
-each way.  sigma^+ zeroes every sigma <= 1e-13 max sigma; for b in the
-range of A, lam then solves A lam = b.  M_a is singular only on a 3-node
-axis, where e_0 + e_2 is null for both T_a and Z_a and is left out of V_a.
-Only numpy is needed, and the basis is a pure function of the grid.
+which is exactly zero on A's nullspace.  project() computes
+lam = V (sigma^+ V^T b) with one matmul per axis each way, sigma^+
+inverting sigma where it is positive; for b in the range of A, lam then
+solves A lam = b.  The basis is a pure function of the grid and needs no
+eigensolver.
 
 The modes sigma^+ drops are A's nullspace, which has two kinds of vector:
 
@@ -48,25 +61,27 @@ The modes sigma^+ drops are A's nullspace, which has two kinds of vector:
 That is 12(n-2)+16 modes on an n^3 grid (76, 100, 124 and 196 at 7^3,
 9^3, 11^3 and 17^3), and 8 on a 2D grid without a 3-node axis.
 
-The solve loses digits as the grid grows: on a 1025-node line, or for a
-smooth field on 257^2, the first residual lands at about RTOL.  When it
-exceeds RTOL/4, project() takes one refinement sweep: it solves for the
-divergence left over and subtracts that correction too.  That brings the
-residual to 5e-4 RTOL or less on those grids.
+The solve loses digits as the grid grows: its first residual is about
+0.4 and 2 RTOL on random 513- and 1025-node lines, and 0.5 and 8 RTOL on
+smooth fields on 257^2 and on a 1025-node line.  When it exceeds RTOL/4,
+project() takes one refinement sweep: it solves for the divergence left
+over and subtracts that correction too, which leaves 6e-4 RTOL or less.
 
 Measured on a unit cube, 2-vCPU x86 host, Python 3.11, numpy 2.4, one BLAS
-thread (median of 7 project() calls on a random field; each figure the
+thread (median of 7 project() calls on a random field; the build and the
+resident memory it added, read from /proc/self/statm; each figure the
 median of 3 processes):
 
     grid   project()   build    added RSS
-    17^3     0.71 ms    1.9 ms    +1.4 MB
-    25^3     2.1  ms    2.6 ms    +1.5 MB
-    33^3     4.9  ms    4.2 ms    +2.5 MB
-    41^3    11    ms    6.4 ms    +4.0 MB
-    49^3    17    ms    9.0 ms    +5.4 MB
+    17^3     0.45 ms    0.79 ms   +0.4 MB
+    25^3     1.7  ms    1.1  ms   +0.5 MB
+    33^3     3.8  ms    2.3  ms   +1.4 MB
+    41^3     7.3  ms    3.6  ms   +1.5 MB
+    49^3    12.5  ms    5.3  ms   +1.8 MB
 
-projector_for() keeps the projector of the last grid it was asked for, so
-a run and its initial-data mollification share one.
+solver.run, step and mollify_initial_data take their projector from
+projector_for(), which keeps the projector of the last grid it was asked
+for, so a run and its initial-data mollification share one.
 
 project() raises NumericalAbort when ||div H'|| of the cleaned field exceeds
 RTOL * ||H|| (plain 2-norms).  It returns the wall-zeroed input unsolved
@@ -92,46 +107,36 @@ from .grid import Grid
 __all__ = ["DivFreeProjector", "projector_for"]
 
 RTOL = 3e-12  # cleaned field must satisfy ||div H'|| <= RTOL * ||H||
-# eigenvalues of A at or below this fraction of the largest are its nullspace
-NULL_RTOL = 1e-13
 
 
-def _d1_matrix(n: int, h: float) -> np.ndarray:
-    """fieldops.d1 with ODD parity along one axis of n nodes, as a matrix."""
-    d = np.zeros((n, n))
-    i = np.arange(n - 1)
-    d[i, i + 1] = 0.5 / h
-    d[i + 1, i] = -0.5 / h
-    d[0, 1] = 1.0 / h  # row 0 reads f[1] / h
-    d[-1, -2] = -1.0 / h  # row n-1 reads -f[n-2] / h
-    return d
-
-
-def _axis_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(V, lam) with V^T T V = diag(lam) and V^T Z V = diag(1 - lam) h^2.
-
-    T = d Z d^T and Z, the interior mask, are diagonalized together in the
-    metric M = T + Z/h^2, one index-parity class at a time: T and M couple
-    only nodes of equal parity.  M is singular only on a 3-node axis, where
-    e_0 + e_2 is null for both T and Z; that direction is left out of V.
-    """
-    d = _d1_matrix(n, h)
-    z = np.ones(n)
-    z[[0, -1]] = 0.0
-    T = (d * z) @ d.T
-    M = T + np.diag(z / h**2)
-    blocks, lams = [], []
+def _axis_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, lam, zeta) with V^T T V = diag(lam) and V^T Z V = diag(zeta) on
+    an axis of n nodes and spacing h: the closed form of the module
+    docstring, one index-parity class at a time."""
+    V = np.zeros((n, n))
+    lam = np.ones(n)
+    zeta = np.zeros(n)
     for parity in (0, 1):
-        idx = np.arange(parity, n, 2)
-        m, U = np.linalg.eigh(M[np.ix_(idx, idx)])
-        keep = m > NULL_RTOL * m[-1]
-        S = U[:, keep] / np.sqrt(m[keep])
-        lam, W = np.linalg.eigh(S.T @ T[np.ix_(idx, idx)] @ S)
-        V = np.zeros((n, lam.size))
-        V[idx] = S @ W
-        blocks.append(V)
-        lams.append(lam)
-    return np.hstack(blocks), np.concatenate(lams)
+        J = np.arange(2 - parity, n - 1, 2)
+        m = J.size
+        if m == 0:
+            continue
+        k = np.arange(m)
+        s = np.sin(0.5 * np.pi / m * k) ** 2
+        w = np.full(m, math.sqrt(2.0 / m))
+        w[0] = math.sqrt(1.0 / m)
+        dct = w * np.cos(np.pi / m * np.outer(k + 0.5, k))  # dct[t, k] = c_k[t]
+        V[np.ix_(J, J)] = dct * (h / np.sqrt(1.0 + s))
+        lam[J] = s / (1.0 + s)
+        zeta[J] = h * h / (1.0 + s)
+    if n == 3:
+        V[0, 0], V[2, 0] = 0.5 * h, -0.5 * h
+        lam[2] = 0.0
+    else:
+        V[0] = 0.5 * V[2]
+        V[-1] = 0.5 * V[-3]
+        V[0, 0] = V[-1, -1] = h
+    return V, lam, zeta
 
 
 def _along_axes(mats, c: np.ndarray) -> np.ndarray:
@@ -156,21 +161,20 @@ class DivFreeProjector:
             return  # D = 0: project() returns H at its divergence check
         bases = [_axis_basis(grid.shape[a], grid.spacing[a]) for a in grid.active_axes]
         k = len(bases)
-        lam = [
-            ev.reshape([-1 if b == a else 1 for b in range(k)])
-            for a, (_, ev) in enumerate(bases)
-        ]
-        zeta = [(1.0 - ev) * h * h for ev, h in zip(lam, grid.spacing_active)]
-        # the spectrum of A = sum_a T_a (x)_{b != a} Z_b in the tensor basis
+        shapes = [[-1 if b == a else 1 for b in range(k)] for a in range(k)]
+        lam = [ev.reshape(sh) for (_, ev, _), sh in zip(bases, shapes)]
+        zeta = [z.reshape(sh) for (_, _, z), sh in zip(bases, shapes)]
+        # the spectrum of A = sum_a T_a (x)_{b != a} Z_b in the tensor basis,
+        # exactly zero on A's nullspace
         sigma = sum(
             lam[a] * math.prod(zeta[b] for b in range(k) if b != a) for a in range(k)
         )
-        keep = sigma > NULL_RTOL * np.max(sigma)
+        keep = sigma > 0.0
         self.dropped_modes -= int(np.count_nonzero(keep))
         self._sigma_inv = np.zeros(sigma.shape)
         self._sigma_inv[keep] = 1.0 / sigma[keep]
-        self._fwd = [np.ascontiguousarray(V.T) for V, _ in bases]
-        self._back = [np.ascontiguousarray(V) for V, _ in bases]
+        self._fwd = [np.ascontiguousarray(V.T) for V, _, _ in bases]
+        self._back = [V for V, _, _ in bases]
         self._active_shape = tuple(grid.shape[a] for a in grid.active_axes)
 
     def _solve(self, b: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import ConstitutiveLaw, make_standard_law
+from .constitutive import ConstitutiveLaw, make_standard_law, validate_hypotheses
 from .diagnostics import (
     artificial_pressure_monitor,
     record,
@@ -44,7 +44,6 @@ from .diagnostics import (
 from .errors import ConfigError
 from .fieldops import divergence
 from .grid import Grid
-from .projection import projector_for
 from .snapshots import write_snapshot
 from .solver import SchemeParams, ensure_compatible, mollify_initial_data, run
 
@@ -226,18 +225,28 @@ def load_scenario(path, overrides=()) -> Scenario:
             # the "auto" sentinel stands for adaptive dt, i.e. None
             values[(section, key)] = None if default == "auto" else default
 
-    grid = Grid(shape=values[("grid", "shape")], extents=values[("grid", "extents")])
-    law = make_standard_law(
-        gamma=values[("law", "gamma")],
-        alpha=values[("law", "alpha")],
-        nu=values[("law", "nu")],
-        mu0=values[("law", "mu0")],
-        lam0=values[("law", "lam0")],
-        kappa0=values[("law", "kappa0")],
-        cv0=values[("law", "cv0")],
-        pe0=values[("law", "pe0")],
-        pth0=values[("law", "pth0")],
-    )
+    for key in ("record_every", "max_steps"):
+        if values[("output", key)] < 1:
+            raise ConfigError(f"output.{key} must be >= 1, got {values[('output', key)]}")
+    try:
+        grid = Grid(shape=values[("grid", "shape")], extents=values[("grid", "extents")])
+        law = make_standard_law(
+            gamma=values[("law", "gamma")],
+            alpha=values[("law", "alpha")],
+            nu=values[("law", "nu")],
+            mu0=values[("law", "mu0")],
+            lam0=values[("law", "lam0")],
+            kappa0=values[("law", "kappa0")],
+            cv0=values[("law", "cv0")],
+            pe0=values[("law", "pe0")],
+            pth0=values[("law", "pth0")],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # the scheme's bounds, the stability limit among them, rest on these
+    failures = validate_hypotheses(law).failures
+    if failures:
+        raise ConfigError("the law fails its hypotheses: " + "; ".join(failures))
     try:
         params = SchemeParams(
             epsilon=values[("scheme", "epsilon")],
@@ -353,10 +362,7 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
 
     grid, law, params = scenario.grid, scenario.law, scenario.params
     rho0, u0, theta0, H0 = initial_fields(scenario)
-    projector = projector_for(grid)
-    state0, moll = mollify_initial_data(
-        grid, law, params, rho0, u0, theta0, H0, projector=projector
-    )
+    state0, moll = mollify_initial_data(grid, law, params, rho0, u0, theta0, H0)
 
     records = []
 
@@ -373,7 +379,6 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
             observer=observer,
             snapshot_times=scenario.snapshot_times,
             max_steps=scenario.max_steps,
-            projector=projector,
         )
     finally:
         if records:

@@ -23,13 +23,15 @@ operands (3 and 6 with lam), where a full table would take 6.  The gradient
 tables are kept by column: column j holds d_j of every operand of a stack,
 and a suppressed axis has an exact zero column.
 
-The arithmetic is that of the fieldops operators (gradient, divergence,
-laplacian, stress_divergence, dissipation, induction_rhs), term for term,
-so the result is the same to the last bit; only + - * / are restacked, and
-pow is taken on the same arrays as there.  A term that is an exact zero is
-left out of a sum only where that cannot move a bit: where the sum is
-padded with +0.0, which already fixes the sign of a zero result, or where
-it is a +0.0 being subtracted.
+The arithmetic is that of the term-by-term oracle _reference_rhs in
+tests/test_solver.py, built from the fieldops operators (gradient,
+divergence, dissipation) and the test-only ones of tests/test_rhs_oracle.py
+(laplacian, stress_divergence, induction_rhs), so the result is the same to
+the last bit; only + - * / are restacked, and pow is taken on the same
+arrays as there.  A term that is an exact zero is left out of a sum only
+where that cannot move a bit: where the sum is padded with +0.0, which
+already fixes the sign of a zero result, or where it is a +0.0 being
+subtracted.
 
 rhs is compiled.  _compile_rhs resolves everything that depends only on
 (grid, law, params): every buffer and view, the row lists, the loops over
@@ -78,7 +80,7 @@ from .constitutive import Const, ConstitutiveLaw, conductivity_potential, heat_c
 from .errors import ConfigError, InvariantViolation, NumericalAbort
 from .fieldops import EVEN, ODD, _is_zero_coeff, divergence
 from .grid import Grid
-from .projection import DivFreeProjector, projector_for
+from .projection import projector_for
 
 __all__ = [
     "SchemeParams",
@@ -200,8 +202,6 @@ def mollify_initial_data(
     u0,
     theta0,
     H0,
-    *,
-    projector: DivFreeProjector | None = None,
 ):
     """Clamp and project raw initial fields into the scheme's admissible set.
 
@@ -242,9 +242,7 @@ def mollify_initial_data(
     wall_field = grid.wall_max(H)
     grid.zero_walls(H)
     div_before = grid.norm_l2(divergence(grid, H))
-    if projector is None:
-        projector = projector_for(grid)
-    H = projector.project(H)
+    H = projector_for(grid).project(H)
     div_after = grid.norm_l2(divergence(grid, H))
 
     report = MollificationReport(
@@ -710,7 +708,6 @@ def step(
     state: State,
     dt: float,
     *,
-    projector: DivFreeProjector,
     sources=None,
     incidents: IncidentLog | None = None,
     dt_limit: float | None = None,
@@ -755,7 +752,7 @@ def step(
     _check_finite(x2, program.finite, t2)
     u2, th2 = _recover(law, params, x2, incidents, "stage 2", t2)
     # project returns a new array
-    return State(grid, x2[_RHO].copy(), u2, th2, projector.project(x2[_H]), t2)
+    return State(grid, x2[_RHO].copy(), u2, th2, projector_for(grid).project(x2[_H]), t2)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +787,6 @@ def run(
     observer=None,
     keep_states: bool = False,
     sources=None,
-    projector: DivFreeProjector | None = None,
     snapshot_times=(),
     max_steps: int = 2_000_000,
 ) -> RunResult:
@@ -807,8 +803,6 @@ def run(
     T = params.t_end if t_end is None else t_end
     if not T > state0.t:
         raise ValueError(f"t_end={T} must exceed the initial time {state0.t}")
-    if projector is None:
-        projector = projector_for(grid)
 
     incidents = IncidentLog()
     state = state0.copy()
@@ -839,7 +833,6 @@ def run(
                 params,
                 state,
                 dt,
-                projector=projector,
                 sources=sources,
                 incidents=incidents,
                 dt_limit=limit,

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mhdlab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -51,6 +53,35 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = _cfg(tmp_path, TINY + "\nbogus = 1\n")
     assert main(["validate", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "law.mu0=0",
+        "law.mu0=-1",
+        "law.kappa0=-0.5",
+        "law.lam0=-0.5",
+        "law.cv0=-1",
+        "law.gamma=1.2",
+        "law.alpha=1",
+        "law.nu=-1",
+        "grid.shape=2 9 1",
+        "grid.extents=inf 1 1",
+        "grid.extents=nan 1 1",
+        "output.record_every=0",
+        "output.max_steps=0",
+    ],
+)
+def test_run_rejects_what_the_scheme_cannot_run(tmp_path, capsys, override):
+    # each is a config error at load, before anything is written
+    out = tmp_path / "out"
+    args = ["run", "--config", str(CONFIGS / "sweep_delta.ini"), "--out", str(out)]
+    for o in ("grid.shape=9 9 1", "scheme.t_end=0.01", override):
+        args += ["--override", o]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_writes_outputs(tmp_path, capsys):

@@ -24,13 +24,9 @@ from mhdlab.fieldops import (
     d2,
     dissipation,
     divergence,
-    double_curl,
     gradient,
     identity_residual,
-    induction_rhs,
-    laplacian,
     lorentz_force,
-    stress_tensor,
     vector_gradient,
 )
 from mhdlab.constitutive import make_standard_law
@@ -200,22 +196,6 @@ def test_conservative_flux_integrates_to_zero():
     assert abs(total) < 1e-12 * np.max(np.abs(F)) * g.volume / min(g.spacing_active)
 
 
-def test_stress_contraction_equals_dissipation():
-    # psi : grad(u) == (mu/2) sum (d_i u_j + d_j u_i)^2 + lam (div u)^2
-    law = make_standard_law(lam=None, lam0=0.3)
-    rng = np.random.default_rng(3)
-    g = grid2d(24)
-    u = rng.standard_normal((3,) + g.shape)
-    theta = 1.0 + 0.5 * rng.random(g.shape)
-    du = vector_gradient(g, u)
-    psi = stress_tensor(law, du, theta)
-    gradu = np.stack([np.stack([d1(g, u[j], i, ODD) for j in range(3)]) for i in range(3)])
-    contraction = np.einsum("ij...,ij...->...", psi, gradu)
-    dis = dissipation(law, du, theta)
-    np.testing.assert_allclose(contraction, dis, rtol=1e-10, atol=1e-12)
-    assert np.min(dis) >= 0.0
-
-
 def test_dissipation_nonnegative_property():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
@@ -338,34 +318,6 @@ def test_bound_stencil_steps_match_standalone(shape, lead):
                 # a strided operand is copied to a contiguous one first
                 view = np.stack([-f, f], axis=-1)[..., 1]
                 assert op(g, view, axis, parity).tobytes() == want.tobytes()
-
-
-def test_induction_rhs_pure_diffusion():
-    # u = 0, H = (0,0,sin x): rhs = -nu curl curl H = nu * d2/dx2 H = -nu H
-    law = make_standard_law(nu=1.0)
-    g = grid1d(129)
-    x = g.mesh()[0]
-    H = np.stack([np.zeros_like(x), np.zeros_like(x), np.sin(x)])
-    rhs = induction_rhs(g, law, np.zeros_like(H), H, vector_gradient(g, H))
-    assert np.max(np.abs(rhs[2] + np.sin(x))) < 4e-4
-    assert np.max(np.abs(rhs[0])) < 1e-14
-    assert np.max(np.abs(rhs[1])) < 1e-14
-
-
-@pytest.mark.parametrize(
-    "shape", [((12, 12, 12), (1.0, 1.0, 1.0)), ((40, 31, 1), (np.pi, 2.0, 1.0))]
-)
-def test_double_curl_equals_curl_of_curl_interior(shape):
-    # away from the walls the per-term outer stencils are plain centered
-    # differences, so they agree with curl(curl H) up to summation order
-    shape, extents = shape
-    g = Grid(shape=shape, extents=extents)
-    H = np.random.default_rng(12).standard_normal((3,) + g.shape)
-    dc = double_curl(g, vector_gradient(g, H))
-    cc = curl(g, curl(g, H))
-    scale = np.max(np.abs(H)) / min(g.spacing_active) ** 2
-    assert np.max(np.abs(_interior(g, dc - cc))) < 1e-13 * scale
-    assert np.max(np.abs(_interior(g, dc))) > 1e-3 * scale
 
 
 def _guard_stencils(monkeypatch, calls):

