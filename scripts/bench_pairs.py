@@ -4,13 +4,21 @@
     python3 scripts/bench_pairs.py PARENT_DIR --workload W [--pairs 10] [--seconds 30]
 
 Runs ``perfbench/run.py --workload W --seconds S --trace 0`` alternately in
-PARENT_DIR (a checkout of the parent commit, for example one made with
-``git worktree``) and in this checkout, switching which of the two runs
-first from pair to pair.  It prints each pair's wall_s, setup_s and
-peak_rss_mb, then each side's median and quartiles, how many pairs the
-change wins (ties count for neither side) and the parent's interquartile
-range.  A gain holds when the change wins at least nine pairs in ten and
-the medians differ by more than the parent's interquartile range.
+PARENT_DIR (a checkout of the parent commit, for example one unpacked from
+``git archive``) and in this checkout, switching which of the two runs
+first from pair to pair.  The metrics are the end-to-end metrics of this
+checkout's BENCHMARK.json, each with its direction (``better``) and its
+no-regression bound (``bound``, a fraction of the parent's median); the
+file is only read.  It prints each pair's values, then per metric each
+side's median and quartiles, how many pairs the change wins (ties count
+for neither side) and the parent's interquartile range, and two verdicts:
+
+* gain: holds when the change wins at least nine pairs in ten and the
+  medians differ by more than the parent's interquartile range;
+* no regression: "within bound" when the change's median is worse than the
+  parent's by no more than the bound, "worse beyond bound" when it is, and
+  "unresolved" when the parent's interquartile range exceeds the bound,
+  unless every change run is better than every parent run.
 
 Exits 1 when any run reports "correct": false or gives no result.  Stale
 bytecode in one tree alone moves setup_s, so it warns when only one tree
@@ -28,7 +36,12 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("vortex2d", "mms1d", "budget2d", "box3d")
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # all lower is better
+
+
+def end_to_end_metrics() -> dict:
+    """{name: (better, bound)} of BENCHMARK.json's end-to-end metrics."""
+    spec = json.loads((HERE / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["better"], float(m["bound"])) for m in spec["end_to_end"]}
 
 
 def run_once(tree: Path, workload: str, seconds: float) -> dict | None:
@@ -70,10 +83,12 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
-    values = {side: {m: [] for m in METRICS} for side in trees}
+    metrics = end_to_end_metrics()
+    values = {side: {m: [] for m in metrics} for side in trees}
     failed = 0
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs")
-    print("pair first  " + "  ".join(f"{m + ' parent':>18s} {m + ' change':>18s}" for m in METRICS))
+    print("pair first  " + "  ".join(f"{m:>29s}" for m in metrics))
+    print("            " + "  ".join(f"{'parent':>14s} {'change':>14s}" for _ in metrics))
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         results = {}
@@ -87,30 +102,41 @@ def main(argv=None) -> int:
         if len(results) < 2:
             continue
         for side in trees:
-            for m in METRICS:
+            for m in metrics:
                 values[side][m].append(results[side][m]["value"])
         cells = "  ".join(
-            f"{results['parent'][m]['value']:18.4f} {results['change'][m]['value']:18.4f}" for m in METRICS
+            f"{results['parent'][m]['value']:14.6g} {results['change'][m]['value']:14.6g}" for m in metrics
         )
         print(f"{i:4d} {order[0]:6s} {cells}")
 
-    done = len(values["parent"]["wall_s"])
+    done = len(values["parent"][next(iter(metrics))])
     if done < 2:
         print("fewer than two complete pairs; nothing to compare", file=sys.stderr)
         return 1
     print()
-    for m in METRICS:
+    for m, (better, bound) in metrics.items():
+        # sign = +1 where lower is better: sign * (change - parent) > 0 is worse
+        sign = 1.0 if better == "lower" else -1.0
         parent, change = values["parent"][m], values["change"][m]
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
-        wins = sum(c < p for p, c in zip(parent, change))
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         iqr = p3 - p1
-        holds = wins >= 0.9 * done and pm - cm > iqr
+        holds = wins >= 0.9 * done and sign * (pm - cm) > iqr
+        worse = sign * (cm - pm) / abs(pm)
+        if max(sign * c for c in change) < min(sign * p for p in parent):
+            verdict = "within bound"
+        elif iqr > bound * abs(pm):
+            verdict = "unresolved"
+        else:
+            verdict = "worse beyond bound" if worse > bound else "within bound"
         print(
-            f"{m}: parent median {pm:.4f} (quartiles {p1:.4f}, {p3:.4f}); "
-            f"change median {cm:.4f} (quartiles {c1:.4f}, {c3:.4f}); "
-            f"change {100.0 * (cm - pm) / pm:+.1f}%, wins {wins}/{done}, parent IQR {iqr:.4f}; "
-            f"gain {'holds' if holds else 'does not hold'}"
+            f"{m} ({better} is better, bound {100.0 * bound:g}%): "
+            f"parent median {pm:.6g} (quartiles {p1:.6g}, {p3:.6g}); "
+            f"change median {cm:.6g} (quartiles {c1:.6g}, {c3:.6g}); "
+            f"change {100.0 * (cm - pm) / pm:+.1f}%, wins {wins}/{done}, "
+            f"parent IQR {iqr:.6g} ({100.0 * iqr / abs(pm):.1f}%); "
+            f"gain {'holds' if holds else 'does not hold'}; no regression: {verdict}"
         )
     return 1 if failed else 0
 

@@ -603,7 +603,9 @@ class HypothesisReport:
     @property
     def failures(self) -> list[str]:
         return [
-            f"{c.name}: {c.description} -- {c.detail}" for c in self.checks if not c.passed
+            f"{c.name}: {c.description}" + (f" -- {c.detail}" if c.detail else "")
+            for c in self.checks
+            if not c.passed
         ]
 
 

@@ -19,11 +19,19 @@ one-sided residual with only the delta-dissipation charged (this is the
 inequality-shaped check: the dropped eps terms are negative, so the
 residual should be <= tol) and the full residual with the eps terms
 restored (pure discretization error, checked in absolute value).
+
+The temperature equation holds only as a renormalized, one-sided weak
+inequality against nonnegative test functions.  thermal_weak_residual
+measures it against one fixed bank of 50 such functions phi = r(t) S(x):
+25 spatial parts (quintic bumps at 8 centers and 3 widths, and S = 1),
+each under two time profiles that vanish at the final time.  The bank
+exists only as tables, built per call from the grid and the record times
+(_bank_tables): S, grad S and lap S of each part as matrix rows, and the
+two profiles and their slopes at the record times.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -55,8 +63,6 @@ __all__ = [
     "BudgetReport",
     "entropy_balance",
     "EntropyReport",
-    "SpaceTimeTestFunction",
-    "make_test_bank",
     "thermal_weak_residual",
     "WeakResidualReport",
     "artificial_pressure_monitor",
@@ -305,9 +311,6 @@ class BudgetReport:
     max_abs_full_residual: float
     dissipation_paid: float
 
-    def worst_window(self) -> BudgetWindow:
-        return max(self.windows, key=lambda w: w.signed_residual)
-
 
 def _check_monotone_times(records) -> None:
     ts = [r.t for r in records]
@@ -442,82 +445,6 @@ def _quintic_bump_d2(s: np.ndarray) -> np.ndarray:
     return np.where(a < 1.0, out, 0.0)
 
 
-class SpaceTimeTestFunction:
-    """Separable phi(x,t) = r(t) * S(x) with analytic derivatives.
-
-    The contract thermal_weak_residual reads from any bank member: a unique
-    ``name``; the grid arrays ``S``, ``gradS`` (shape (3,) + grid.shape,
-    zero along suppressed axes) and ``lapS``; and the floats ``r(t)`` and
-    ``rprime(t)``.  Members whose three arrays are the same objects are
-    paired with the fields once.  Here S is a tensor product of quintic
-    bumps (or identically one), so S, its gradient and Laplacian are exact
-    arrays, and r is a scalar profile with analytic derivative and r(T) = 0.
-    """
-
-    def __init__(self, name, grid: Grid, T: float, center=None, width=None, profile="rampdown"):
-        self.name = name
-        self.T = float(T)
-        self.profile = profile
-        shape = grid.shape
-        if center is None:
-            self.S = np.ones(shape)
-            self.gradS = np.zeros((3,) + shape)
-            self.lapS = np.zeros(shape)
-        else:
-            parts, dparts, d2parts = [], [], []
-            for a in range(3):
-                x = grid.coords(a)
-                L = grid.extents[a]
-                if grid.shape[a] == 1:
-                    parts.append(np.ones(1))
-                    dparts.append(np.zeros(1))
-                    d2parts.append(np.zeros(1))
-                    continue
-                c = center[a] * L
-                w = width * L
-                s = (x - c) / w
-                parts.append(_quintic_bump(s))
-                dparts.append(_quintic_bump_d1(s) / w)
-                d2parts.append(_quintic_bump_d2(s) / w**2)
-            def outer3(f0, f1, f2):
-                return (
-                    f0[:, None, None] * f1[None, :, None] * f2[None, None, :]
-                )
-            self.S = outer3(parts[0], parts[1], parts[2])
-            self.gradS = np.stack(
-                [
-                    outer3(dparts[0], parts[1], parts[2]),
-                    outer3(parts[0], dparts[1], parts[2]),
-                    outer3(parts[0], parts[1], dparts[2]),
-                ]
-            )
-            self.lapS = (
-                outer3(d2parts[0], parts[1], parts[2])
-                + outer3(parts[0], d2parts[1], parts[2])
-                + outer3(parts[0], parts[1], d2parts[2])
-            )
-
-    def with_profile(self, name, profile):
-        """A member with another time profile that shares (does not copy)
-        this member's S, gradS and lapS."""
-        twin = copy.copy(self)
-        twin.name = name
-        twin.profile = profile
-        return twin
-
-    def r(self, t: float) -> float:
-        s = t / self.T
-        if self.profile == "rampdown":
-            return float(_quintic_bump(np.asarray(s)))
-        return float(_quintic_bump(np.asarray((s - 0.4) / 0.35)))
-
-    def rprime(self, t: float) -> float:
-        s = t / self.T
-        if self.profile == "rampdown":
-            return float(_quintic_bump_d1(np.asarray(s))) / self.T
-        return float(_quintic_bump_d1(np.asarray((s - 0.4) / 0.35))) / (0.35 * self.T)
-
-
 _BANK_CENTERS = (
     (0.5, 0.5, 0.5),
     (0.3, 0.6, 0.5),
@@ -529,28 +456,78 @@ _BANK_CENTERS = (
     (1.0, 1.0, 0.5),  # corner-centered
 )
 _BANK_WIDTHS = (0.2, 0.35, 0.5)
+_BANK_PROFILES = ("rampdown", "interior")
 
 
-def make_test_bank(grid: Grid, T: float):
-    """The fixed 8 x 3 x 2 bump bank plus two spatially uniform profiles.
+def _bank_tables(grid: Grid, T: float, times):
+    """The fixed test bank as tables.
 
-    Bumps are allowed to overlap the walls.  The radial profile decreases
-    outward, so any wall flux the diffusion pairing drops has the sign that
-    raises the residual; one-sidedness of the check is preserved.  The
-    spatial part of each (center, width) bump and the uniform part are built
-    once: the rampdown and interior members of a part hold the same arrays.
+    The bank has 50 separable members phi = r(t) S(x), the 25 spatial parts
+    (8 centers x 3 widths of a tensor product of quintic bumps, then the
+    uniform S = 1) each under the 2 time profiles of _BANK_PROFILES; member
+    j = 2p + q is part p under profile q, named f"{part}-{profile}".  Bumps
+    may overlap the walls: each decreases outward, so any wall flux the
+    diffusion pairing drops has the sign that raises the residual, and the
+    check stays one-sided.  Both profiles vanish at T and are nonnegative.
+
+    Returns the names; S_mat, G_mat (the active-axis components of grad S,
+    flattened) and L_mat (lap S), one row per part, from the analytic
+    derivatives of the bumps; and r[q, k] and rp[q, k], profile q and its
+    slope at times[k].
     """
-    bank = []
+    shape = grid.shape
 
-    def add(prefix, **where):
-        phi = SpaceTimeTestFunction(f"{prefix}-rampdown", grid, T, **where)
-        bank.extend([phi, phi.with_profile(f"{prefix}-interior", "interior")])
+    def outer3(f0, f1, f2):
+        return f0[:, None, None] * f1[None, :, None] * f2[None, None, :]
 
-    for ci, c in enumerate(_BANK_CENTERS):
-        for w in _BANK_WIDTHS:
-            add(f"bump-c{ci}-w{w:g}", center=c, width=w)
-    add("uniform")
-    return bank
+    parts = [
+        (f"bump-c{ci}-w{w:g}", c, w) for ci, c in enumerate(_BANK_CENTERS) for w in _BANK_WIDTHS
+    ]
+    parts.append(("uniform", None, None))
+    active = list(grid.active_axes)
+    # one row per part: a product with a row-major part matrix sums each
+    # pairing in the order of a dot product (gemv with the parts as columns
+    # sums them axpy-wise, with about eight times the rounding error)
+    n = math.prod(shape)
+    S_mat, G_mat, L_mat = (np.empty((len(parts), m * n)) for m in (1, len(active), 1))
+    for p, (_, center, width) in enumerate(parts):
+        # f[a], df[a], d2f[a]: the factor of S along axis a and its
+        # derivatives, identically one along a suppressed axis and for the
+        # uniform part
+        f, df, d2f = [], [], []
+        for a in range(3):
+            if center is None or shape[a] == 1:
+                f.append(np.ones(shape[a]))
+                df.append(np.zeros(shape[a]))
+                d2f.append(np.zeros(shape[a]))
+                continue
+            L = grid.extents[a]
+            w = width * L
+            s = (grid.coords(a) - center[a] * L) / w
+            f.append(_quintic_bump(s))
+            df.append(_quintic_bump_d1(s) / w)
+            d2f.append(_quintic_bump_d2(s) / w**2)
+        S_mat[p] = outer3(*f).reshape(-1)
+        G_p = G_mat[p].reshape((len(active),) + shape)
+        for i, a in enumerate(active):
+            G_p[i] = outer3(*(df[b] if b == a else f[b] for b in range(3)))
+        L_mat[p] = (
+            outer3(d2f[0], f[1], f[2]) + outer3(f[0], d2f[1], f[2]) + outer3(f[0], f[1], d2f[2])
+        ).reshape(-1)
+
+    # rampdown: the bump's right half over [0, T]; interior: a bump
+    # centered at 0.4 T of half-width 0.35 T.  Evaluated one time at a
+    # time: on a 0-d argument the bump computes with numpy scalars, whose
+    # powers can differ in the last bit from numpy's array loop, and the
+    # reports' bits rest on the scalar ones
+    T = float(T)
+    args = ([t / T for t in times], [(t / T - 0.4) / 0.35 for t in times])
+    r = np.array([[float(_quintic_bump(np.asarray(x))) for x in row] for row in args])
+    rp = np.array([[float(_quintic_bump_d1(np.asarray(x))) for x in row] for row in args])
+    rp[0] /= T
+    rp[1] /= 0.35 * T
+    names = [f"{part}-{profile}" for part, _, _ in parts for profile in _BANK_PROFILES]
+    return names, S_mat, G_mat, L_mat, r, rp
 
 
 @dataclass(frozen=True)
@@ -563,107 +540,37 @@ class WeakResidualReport:
         return dict(self.residuals)
 
 
-def _validate_bank(grid: Grid, bank, parts, part_of, r) -> None:
-    """phi = r(t) S >= 0 at every record time, phi = 0 at the final one, and
-    no part with a gradient along a suppressed axis (the pairing reads only
-    the active-axis rows of gradS).  r[j, k] is bank[j]'s profile at the
-    k-th record time and parts[part_of[j]] the first member holding its part.
-    """
-    suppressed = [a for a in range(3) if a not in grid.active_axes]
-    for p in parts:
-        if any(np.any(p.gradS[a] != 0.0) for a in suppressed):
-            raise ValueError(f"test function {p.name} has a gradient along a suppressed axis")
-    s_min = np.array([float(np.min(p.S)) for p in parts])[part_of]
-    s_max = np.array([float(np.max(p.S)) for p in parts])[part_of]
-    for phi, r_j, lo, hi in zip(bank, r, s_min, s_max):
-        if min(np.min(r_j * lo), np.min(r_j * hi)) < -1e-14:
-            raise ValueError(f"test function {phi.name} takes negative values")
-        if abs(r_j[-1]) * max(abs(lo), abs(hi)) > 1e-14:
-            raise ValueError(f"test function {phi.name} must vanish at the final time")
-
-
-def _tabulate_bank(grid: Grid, bank, times):
-    """A validated bank as tables: its names; part_of[j], the row of
-    bank[j]'s spatial part; r[j, k] and rp[j, k], its time profile and slope
-    at times[k]; and S_mat, G_mat (the active-axis rows of gradS, flattened)
-    and L_mat, one row per distinct part.  Parts are told apart by the
-    identity of their three arrays, in order of first use.
-    """
-    names = [phi.name for phi in bank]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise ValueError(f"test function name {dup!r} occurs more than once")
-    row, parts, part_of = {}, [], []
-    for phi in bank:
-        key = (id(phi.S), id(phi.gradS), id(phi.lapS))
-        if key not in row:
-            row[key] = len(parts)
-            parts.append(phi)
-        part_of.append(row[key])
-    part_of = np.array(part_of)
-    # a time profile is evaluated once: the members of this class that share
-    # profile and T share its rows; any other member is evaluated on its own
-    profiles = {}
-
-    def rows(phi):
-        key = (phi.profile, phi.T) if type(phi) is SpaceTimeTestFunction else id(phi)
-        if key not in profiles:
-            profiles[key] = ([phi.r(t) for t in times], [phi.rprime(t) for t in times])
-        return profiles[key]
-
-    r = np.array([rows(phi)[0] for phi in bank])
-    rp = np.array([rows(phi)[1] for phi in bank])
-    _validate_bank(grid, bank, parts, part_of, r)
-    # one row per part: a product with a row-major part matrix sums each
-    # pairing in the order of a dot product (gemv with the parts as columns
-    # sums them axpy-wise, with about eight times the rounding error)
-    active = list(grid.active_axes)
-    S_mat = np.stack([p.S.reshape(-1) for p in parts])
-    G_mat = np.stack([p.gradS[active].reshape(-1) for p in parts])
-    L_mat = np.stack([p.lapS.reshape(-1) for p in parts])
-    return names, part_of, r, rp, S_mat, G_mat, L_mat
-
-
 def thermal_weak_residual(
-    grid: Grid,
-    law: ConstitutiveLaw,
-    params: SchemeParams,
-    states,
-    bank=None,
-    ren: Renormalizer | None = None,
+    grid: Grid, law: ConstitutiveLaw, params: SchemeParams, states
 ) -> WeakResidualReport:
-    """Right-minus-left of the renormalized weak thermal balance per phi.
+    """Right-minus-left of the renormalized weak thermal balance for each
+    member of the fixed test bank (see _bank_tables), with the
+    renormalizing weight of exponent params.omega.
 
     For the smooth regularized system the two sides agree exactly, so each
     residual is pure discretization error; the inequality-shaped contract
     is residual >= -tol(dt, h).  States must be the recorded trajectory
     (with the initial state first); time integrals use the trapezoid rule
-    over the record times.
+    over the record times.  The report lists the members in bank order.
 
     Both sides are linear in phi, so the field work is done once per state:
     six integrands, folded with the quadrature weights, pair with phi_t,
     grad phi, lap phi and phi (four on the left, two on the right).  Every
-    member is separable, phi = r(t) S(x) (see SpaceTimeTestFunction), so
-    the pairing is three matrix products per state against the bank's
-    distinct spatial parts (members share a part when they hold the same
-    S, gradS and lapS objects): the three integrands that pair with phi or
-    phi_t against S, the two that pair with grad phi against the
-    active-axis rows of gradS, and w K_h against lapS.  Each member then
-    scales its part's products by r(t) or r'(t).  K_h comes from one table
-    built for the whole trajectory.  Test-function names must be unique;
-    they key the report.
+    member is separable, phi = r(t) S(x), so the pairing is three matrix
+    products per state against the bank's 25 spatial parts: the three
+    integrands that pair with phi or phi_t against S, the two that pair
+    with grad phi against the active-axis components of grad S, and w K_h
+    against lap S.  Each member then scales its part's products by its
+    profile's r(t) or r'(t).  K_h comes from one table built for the whole
+    trajectory.
     """
     if len(states) < 2:
         raise ValueError("need at least two recorded states")
-    if ren is None:
-        ren = Renormalizer(params.omega)
     times = [s.t for s in states]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("state times must be strictly increasing")
-    # a bank built here is freed once it is tabulated
-    names, part_of, r, rp, S_mat, G_mat, L_mat = _tabulate_bank(
-        grid, make_test_bank(grid, times[-1]) if bank is None else bank, times
-    )
+    names, S_mat, G_mat, L_mat, r, rp = _bank_tables(grid, times[-1], times)
+    ren = Renormalizer(params.omega)
 
     delta, eps = params.delta, params.epsilon
     w = grid.quad_weights
@@ -713,10 +620,12 @@ def thermal_weak_residual(
         pairs[3:5, :, k] = with_g @ G_mat.T
         pairs[5, :, k] = L_mat @ w_lap.reshape(-1)
 
-    p_t, p_sink, p_source, p_flux, p_eps, p_lap = pairs[:, part_of]
-    # lhs_t[j, k], rhs_t[j, k]: the two sides for bank[j] at states[k]
-    lhs_t = rp * p_t + r * (p_flux + p_lap + p_sink)
-    rhs_t = r * (p_source + p_eps)
+    # lhs_t[j, k], rhs_t[j, k]: the two sides for member j = 2p + q at
+    # states[k], from the pairings of part p, (P, 1, K), and the rows of
+    # profile q, (2, K)
+    p_t, p_sink, p_source, p_flux, p_eps, p_lap = pairs[:, :, None, :]
+    lhs_t = (rp * p_t + r * (p_flux + p_lap + p_sink)).reshape(len(names), -1)
+    rhs_t = (r * (p_source + p_eps)).reshape(len(names), -1)
 
     # initial-data term of the right side, r(t0) <w w_h0, S>.  It is not
     # averaged over records as the other terms are, so each pairing takes
@@ -724,7 +633,7 @@ def thermal_weak_residual(
     # that nearly cancels the two time integrals
     st0 = states[0]
     w_h0 = w * ((st0.rho + delta) * renormalized_heat_content(law, ren, st0.theta))
-    initial = r[:, 0] * np.array([np.sum(w_h0.reshape(-1) * S) for S in S_mat])[part_of]
+    initial = (np.array([np.sum(w_h0.reshape(-1) * S) for S in S_mat])[:, None] * r[:, 0]).reshape(-1)
 
     residuals = []
     for name, lhs_phi, rhs_phi, init in zip(names, lhs_t, rhs_t, initial):

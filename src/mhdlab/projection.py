@@ -79,9 +79,9 @@ median of 3 processes):
     41^3     7.3  ms    3.6  ms   +1.5 MB
     49^3    12.5  ms    5.3  ms   +1.8 MB
 
-solver.run, step and mollify_initial_data take their projector from
-projector_for(), which keeps the projector of the last grid it was asked
-for, so a run and its initial-data mollification share one.
+The solver builds one projector into the compiled program that each
+thread keeps for its grid, law and scheme, so a run and its initial-data
+mollification share one, and the run frees it when it ends.
 
 project() raises NumericalAbort when ||div H'|| of the cleaned field exceeds
 RTOL * ||H|| (plain 2-norms).  It returns the wall-zeroed input unsolved
@@ -96,7 +96,6 @@ wall test reads.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,7 +103,7 @@ from .errors import InvariantViolation, NumericalAbort
 from .fieldops import ODD, divergence
 from .grid import Grid
 
-__all__ = ["DivFreeProjector", "projector_for"]
+__all__ = ["DivFreeProjector"]
 
 RTOL = 3e-12  # cleaned field must satisfy ||div H'|| <= RTOL * ||H||
 
@@ -250,12 +249,3 @@ class DivFreeProjector:
             )
         return out
 
-
-@lru_cache(maxsize=1)
-def projector_for(grid: Grid) -> DivFreeProjector:
-    """The projector of `grid`, built once and shared while the grid repeats.
-
-    The projector is a pure function of the (frozen, hashable) grid, so callers
-    that pass no projector of their own can share this one.
-    """
-    return DivFreeProjector(grid)

@@ -56,7 +56,10 @@ program also holds the stacks of step, which holds the conserved tuple,
 and each of its two stage rates, as one stack of 8 rows (rho, w, m, H)
 that rhs fills through its out= argument.  Each stage update, wall reset
 and finiteness check is then one call over the stack.  The returned State
-owns new arrays.
+owns new arrays.  The program holds the grid's divergence projector too,
+which step and mollify_initial_data take from it: a run and the
+mollification of its initial data share one build, and two threads on
+their own grids build one each.
 
 Regularization knobs: epsilon adds mass diffusion (with its compensating
 velocity-gradient force in the momentum equation), delta carries the
@@ -78,9 +81,9 @@ import numpy as np
 from . import fieldops
 from .constitutive import Const, ConstitutiveLaw, conductivity_potential, heat_content
 from .errors import ConfigError, InvariantViolation, NumericalAbort
-from .fieldops import EVEN, ODD, _is_zero_coeff, divergence
+from .fieldops import EVEN, ODD, _is_zero_coeff
 from .grid import Grid
-from .projection import projector_for
+from .projection import DivFreeProjector
 
 __all__ = [
     "SchemeParams",
@@ -182,16 +185,12 @@ class State:
 class MollificationReport:
     """What the initial-data clamps actually touched."""
 
-    rho_floor: float
     rho_cap: float
     rho_raised_nodes: int
     rho_lowered_nodes: int
     momentum_zero_mask: np.ndarray
     theta_raised_nodes: int
     wall_speed_cleaned: float
-    wall_field_cleaned: float
-    div_defect_before: float
-    div_defect_after: float
 
 
 def mollify_initial_data(
@@ -238,24 +237,17 @@ def mollify_initial_data(
 
     theta = np.maximum(theta0, 1e-3)
 
-    H = H0.copy()
-    wall_field = grid.wall_max(H)
-    grid.zero_walls(H)
-    div_before = grid.norm_l2(divergence(grid, H))
-    H = projector_for(grid).project(H)
-    div_after = grid.norm_l2(divergence(grid, H))
+    H = grid.zero_walls(H0.copy())
+    # the projector a run of this grid, law and params steps with
+    H = _program(grid, law, params).projector.project(H)
 
     report = MollificationReport(
-        rho_floor=floor,
         rho_cap=cap,
         rho_raised_nodes=int(np.count_nonzero(raised)),
         rho_lowered_nodes=int(np.count_nonzero(lowered)),
         momentum_zero_mask=lowered,
         theta_raised_nodes=int(np.count_nonzero(theta > theta0)),
         wall_speed_cleaned=wall_speed,
-        wall_field_cleaned=wall_field,
-        div_defect_before=div_before,
-        div_defect_after=div_after,
     )
     return State(grid, rho, u, theta, H, 0.0), report
 
@@ -574,7 +566,8 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     x0, x1, k1, k2 = (np.empty((8,) + shape) for _ in range(4))
     finite = np.empty((8,) + shape, bool)
     return SimpleNamespace(
-        calls=calls, rho=rho, u=u, theta=theta, H=H, out=out, x0=x0, x1=x1, k1=k1, k2=k2, finite=finite
+        calls=calls, rho=rho, u=u, theta=theta, H=H, out=out, x0=x0, x1=x1, k1=k1, k2=k2,
+        finite=finite, projector=DivFreeProjector(grid),
     )
 
 
@@ -752,7 +745,7 @@ def step(
     _check_finite(x2, program.finite, t2)
     u2, th2 = _recover(law, params, x2, incidents, "stage 2", t2)
     # project returns a new array
-    return State(grid, x2[_RHO].copy(), u2, th2, projector_for(grid).project(x2[_H]), t2)
+    return State(grid, x2[_RHO].copy(), u2, th2, program.projector.project(x2[_H]), t2)
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +793,8 @@ def run(
     ensure_compatible(law, params)
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     T = params.t_end if t_end is None else t_end
     if not T > state0.t:
         raise ValueError(f"t_end={T} must exceed the initial time {state0.t}")

@@ -55,6 +55,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+_UNDETAILED = {
+    "law.mu0=0": "mu_bounds: 0 < mu_lo <= mu_hi",
+    "law.mu0=-1": "mu_bounds: 0 < mu_lo <= mu_hi",
+    "law.kappa0=-0.5": "kappa_bounds: 0 < kappa_lo <= kappa_hi",
+    "law.cv0=-1": "cv_bounds: 0 < cv_lo <= cv_hi",
+}
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -80,7 +88,11 @@ def test_run_rejects_what_the_scheme_cannot_run(tmp_path, capsys, override):
     for o in ("grid.shape=9 9 1", "scheme.t_end=0.01", override):
         args += ["--override", o]
     assert main(args) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if override in _UNDETAILED:
+        # a failed check without a detail ends at its description
+        assert err.endswith(f"the law fails its hypotheses: {_UNDETAILED[override]}\n")
     assert not out.exists()
 
 

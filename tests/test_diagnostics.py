@@ -21,6 +21,7 @@ import types
 import numpy as np
 import pytest
 
+from mhdlab import diagnostics
 from mhdlab.constitutive import (
     Renormalizer,
     heat_content,
@@ -29,12 +30,11 @@ from mhdlab.constitutive import (
     renormalized_heat_content,
 )
 from mhdlab.diagnostics import (
-    SpaceTimeTestFunction,
+    _bank_tables,
     apriori_norms,
     artificial_pressure_monitor,
     energy_budget_check,
     entropy_balance,
-    make_test_bank,
     read_records_csv,
     record,
     thermal_weak_residual,
@@ -326,114 +326,39 @@ def test_entropy_production_nonnegative(moving_run):
 # ---------------------------------------------------------------------------
 
 
-def test_weak_residual_zero_test_function(rest_run):
-    grid, _, res = rest_run
-    phi0 = SpaceTimeTestFunction(
-        "outside", grid, res.record_times[-1], center=(5.0, 0.5, 0.5), width=0.1
-    )
-    rep = thermal_weak_residual(
-        grid, LAW, PARAMS, res.recorded_states, bank=[phi0]
-    )
-    assert rep.min_residual == 0.0
-
-
 def test_weak_residual_rest_state_uniform_phi(rest_run):
     grid, _, res = rest_run
-    T = res.record_times[-1]
-    phi = SpaceTimeTestFunction("uniform-rampdown", grid, T, profile="rampdown")
-    rep = thermal_weak_residual(grid, LAW, PARAMS, res.recorded_states, bank=[phi])
+    rep = thermal_weak_residual(grid, LAW, PARAMS, res.recorded_states)
     # equality case: pure record-quadrature error
-    assert abs(rep.min_residual) <= 1e-5
+    assert abs(rep.as_dict()["uniform-rampdown"]) <= 1e-5
 
 
-class _Separable:
-    """A bank member built from its parts: phi = r(t) S(x)."""
-
-    def __init__(self, name, S, gradS, lapS, r, rprime):
-        self.name, self.S, self.gradS, self.lapS = name, S, gradS, lapS
-        self.r, self.rprime = r, rprime
-
-
-def _combo_bank(grid, T):
-    """Two bumps, a linear combination of them and a spatially uniform phi."""
-    p1 = SpaceTimeTestFunction("a", grid, T, center=(0.5, 0.5, 0.5), width=0.4)
-    p2 = SpaceTimeTestFunction("b", grid, T, center=(0.3, 0.6, 0.5), width=0.3)
-    # both bumps have the rampdown profile, so their combination is S1 + 2 S2
-    # with that one profile
-    combo = _Separable(
-        "combo",
-        p1.S + 2.0 * p2.S,
-        p1.gradS + 2.0 * p2.gradS,
-        p1.lapS + 2.0 * p2.lapS,
-        p1.r,
-        p1.rprime,
-    )
-    return [p1, p2, combo, SpaceTimeTestFunction("uniform", grid, T)]
-
-
-def _shared_part_bank(grid, T):
-    """Two members that hold the same spatial part, with another between."""
-    a = SpaceTimeTestFunction("a", grid, T, center=(0.5, 0.5, 0.5), width=0.4)
-    b = SpaceTimeTestFunction("b", grid, T, center=(0.3, 0.6, 0.5), width=0.3)
-    return [a, b, a.with_profile("a-interior", "interior")]
-
-
-def test_bank_time_profiles_tabulated_once(monkeypatch):
-    # members of one profile and T share one evaluated row; any other member
-    # type is evaluated on its own; the tables keep their bytes
-    from mhdlab.diagnostics import _tabulate_bank
-
-    grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.0, 1.0))
-    T = 0.4
-    times = [T * k / 8 for k in range(9)]
-    evaluated = []
-    r_of = SpaceTimeTestFunction.r
-
-    def counted(self, t):
-        evaluated.append(self.name)
-        return r_of(self, t)
-
-    mixed = _combo_bank(grid, T)  # a, b and uniform share one profile
-    combo = mixed[2]
-    combo_r = combo.r
-    combo.r = lambda t: evaluated.append(combo.name) or combo_r(t)
-    default = make_test_bank(grid, T)  # two profiles
-    for bank, rows in ((default, [p.name for p in default[:2]]), (mixed, ["a", "combo"])):
-        want_r = np.array([[phi.r(t) for t in times] for phi in bank])
-        want_rp = np.array([[phi.rprime(t) for t in times] for phi in bank])
-        monkeypatch.setattr(SpaceTimeTestFunction, "r", counted)
-        evaluated.clear()
-        _, _, r, rp, *_ = _tabulate_bank(grid, bank, times)
-        monkeypatch.undo()
-        assert r.tobytes() == want_r.tobytes()
-        assert rp.tobytes() == want_rp.tobytes()
-        assert sorted(evaluated) == sorted(rows * len(times))
-
-
-def test_weak_residual_linear_in_phi(rest_run):
-    grid, _, res = rest_run
-    p1, p2, combo, _ = _combo_bank(grid, res.record_times[-1])
-    states = res.recorded_states
-    r1 = thermal_weak_residual(grid, LAW, PARAMS, states, bank=[p1]).min_residual
-    r2 = thermal_weak_residual(grid, LAW, PARAMS, states, bank=[p2]).min_residual
-    rc = thermal_weak_residual(grid, LAW, PARAMS, states, bank=[combo]).min_residual
-    assert rc == pytest.approx(r1 + 2.0 * r2, rel=1e-10, abs=1e-14)
-
-
-def test_worst_name_tie_goes_to_first_bank_member():
+def test_worst_name_tie_goes_to_first_bank_member(monkeypatch):
     # mirror-image bumps narrower than the node spacing each see one node;
     # on a uniform state their residuals agree to the last bit
     grid = Grid(shape=(5, 5, 1), extents=(1.0, 1.0, 1.0))
     res = run(grid, LAW, PARAMS, _uniform_state(grid), t_end=0.05, keep_states=True)
-    states, T = res.recorded_states, res.record_times[-1]
-    lo = SpaceTimeTestFunction("bump-lo", grid, T, center=(0.25, 0.25, 0.5), width=0.2)
-    hi = SpaceTimeTestFunction("bump-hi", grid, T, center=(0.75, 0.75, 0.5), width=0.2)
-    for bank in ([lo, hi], [hi, lo]):
-        rep = thermal_weak_residual(grid, LAW, PARAMS, states, bank=bank)
-        values = rep.as_dict()
-        assert values["bump-lo"] == values["bump-hi"] != 0.0
-        assert rep.worst_name == bank[0].name
-        assert rep.min_residual == values["bump-lo"]
+    states = res.recorded_states
+    values = thermal_weak_residual(grid, LAW, PARAMS, states).as_dict()
+    for profile in ("rampdown", "interior"):
+        assert values[f"bump-c3-w0.2-{profile}"] == values[f"bump-c4-w0.2-{profile}"]
+    assert values["bump-c3-w0.2-rampdown"] != 0.0
+
+    # the bank cut to the pair, parts 9 and 12, in either order: the tied
+    # minimum goes to the member that comes first
+    tables = diagnostics._bank_tables
+
+    def pair_tables(grid, T, times):
+        names, S_mat, G_mat, L_mat, r, rp = tables(grid, T, times)
+        rows = [names[2 * p + q] for p in parts for q in (0, 1)]
+        return rows, S_mat[parts], G_mat[parts], L_mat[parts], r, rp
+
+    monkeypatch.setattr(diagnostics, "_bank_tables", pair_tables)
+    for parts, first in (([9, 12], "bump-c3-w0.2-rampdown"), ([12, 9], "bump-c4-w0.2-rampdown")):
+        rep = thermal_weak_residual(grid, LAW, PARAMS, states)
+        assert rep.as_dict() == {name: values[name] for name, _ in rep.residuals}
+        assert rep.worst_name == first
+        assert rep.min_residual == values[first]
 
 
 def test_weak_residual_full_bank_on_moving_run(moving_run):
@@ -449,54 +374,28 @@ def test_weak_residual_omega_families_consistent(moving_run):
     grid, law, params, res = moving_run
     for omega in (0.5, 1.0):
         rep = thermal_weak_residual(
-            grid, law, params, res.recorded_states, ren=Renormalizer(omega)
+            grid, law, dataclasses.replace(params, omega=omega), res.recorded_states
         )
         assert rep.min_residual >= -2e-3
 
 
-def test_weak_residual_rejects_ill_formed(rest_run):
-    grid, _, res = rest_run
-    T = res.record_times[-1]
-    good = SpaceTimeTestFunction("g", grid, T, center=(0.5, 0.5, 0.5), width=0.3)
-    parts = (good.S, good.gradS, good.lapS)
-    negative = _Separable("neg", *parts, lambda t: -good.r(t), lambda t: -good.rprime(t))
-    flat = (np.ones(grid.shape), np.zeros((3,) + grid.shape), np.zeros(grid.shape))
-    nonzero_end = _Separable("tail", *flat, lambda t: 1.0, lambda t: 0.0)
-
-    # r < 0 only on (0.6 T, 0.8 T): nonnegative at t0, at T/2 and at T, but
-    # negative at the record times in between
-    assert any(0.6 * T < t < 0.8 * T for t in res.record_times)
-
-    def r_dip(t):
-        return -(1.0 - t / T) if 0.6 * T < t < 0.8 * T else 1.0 - t / T
-
-    dipping = _Separable("dip", *parts, r_dip, lambda t: -1.0 / T)
-    # the pairing reads only the active-axis rows of gradS
-    tilted_grad = good.gradS.copy()
-    tilted_grad[2] = good.S
-    tilted = _Separable("tilt", good.S, tilted_grad, good.lapS, good.r, good.rprime)
-
-    states = res.recorded_states
-    for member, match in (
-        (negative, "neg takes negative values"),
-        (nonzero_end, "tail must vanish at the final time"),
-        (dipping, "dip takes negative values"),
-        (tilted, "tilt has a gradient along a suppressed axis"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            thermal_weak_residual(grid, LAW, PARAMS, states, bank=[member])
+def _bank_members(grid, times):
+    """The bank as (name, r, rprime, S, gradS, lapS) per member, unpacked
+    from its tables: gradS has all three components, zero along a
+    suppressed axis, and r and rprime are indexed like times."""
+    names, S_mat, G_mat, L_mat, r, rp = _bank_tables(grid, times[-1], times)
+    active = list(grid.active_axes)
+    members = []
+    for j, name in enumerate(names):
+        p, q = divmod(j, 2)
+        gradS = np.zeros((3,) + grid.shape)
+        gradS[active] = G_mat[p].reshape((len(active),) + grid.shape)
+        S, lapS = S_mat[p].reshape(grid.shape), L_mat[p].reshape(grid.shape)
+        members.append((name, r[q], rp[q], S, gradS, lapS))
+    return members
 
 
-def test_weak_residual_rejects_duplicate_names(rest_run):
-    grid, _, res = rest_run
-    T = res.record_times[-1]
-    p1 = SpaceTimeTestFunction("same", grid, T, center=(0.5, 0.5, 0.5), width=0.4)
-    p2 = SpaceTimeTestFunction("same", grid, T, center=(0.3, 0.6, 0.5), width=0.3)
-    with pytest.raises(ValueError, match="'same' occurs more than once"):
-        thermal_weak_residual(grid, LAW, PARAMS, res.recorded_states, bank=[p1, p2])
-
-
-def _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=False):
+def _reference_weak_residual(grid, law, params, states, per_state_k_h=False):
     """The per-(state, phi) loop that thermal_weak_residual replaced.
 
     Every pair rebuilds the full-grid integrands and sums them.  K_h is read
@@ -506,6 +405,7 @@ def _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=Fals
     """
     ren = Renormalizer(params.omega)
     times = [s.t for s in states]
+    bank = _bank_members(grid, times)
     delta, eps = params.delta, params.epsilon
     w = grid.quad_weights
     k_h_all = renormalized_conductivity_potential(
@@ -535,16 +435,15 @@ def _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=Fals
         ) * grad_theta_sq + h_w * theta * law.p_th(rho) * divu
         w_h = (rho + delta) * q_h
         flux = rho * q_h * u
-        for j, phi in enumerate(bank):
-            t = st.t
-            phi_v = phi.r(t) * phi.S
-            phi_grad = phi.r(t) * phi.gradS
+        for j, (_, r, rprime, S, gradS, lapS) in enumerate(bank):
+            phi_v = r[k] * S
+            phi_grad = r[k] * gradS
             lhs_int = (
-                w_h * (phi.rprime(t) * phi.S)
+                w_h * (rprime[k] * S)
                 + flux[0] * phi_grad[0]
                 + flux[1] * phi_grad[1]
                 + flux[2] * phi_grad[2]
-                + k_h * (phi.r(t) * phi.lapS)
+                + k_h * (r[k] * lapS)
                 - delta * h_w * np.power(theta, law.alpha + 1.0) * phi_v
             )
             eps_int = 0.0
@@ -558,7 +457,7 @@ def _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=Fals
     st0 = states[0]
     w_h0 = (st0.rho + delta) * renormalized_heat_content(law, ren, st0.theta)
     out = {}
-    for j, phi in enumerate(bank):
+    for j, (name, r, _, S, _, _) in enumerate(bank):
         lhs = sum(
             0.5 * (b - a) * (y0 + y1)
             for a, b, y0, y1 in zip(times, times[1:], lhs_t[j], lhs_t[j][1:])
@@ -567,8 +466,8 @@ def _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=Fals
             0.5 * (b - a) * (y0 + y1)
             for a, b, y0, y1 in zip(times, times[1:], rhs_t[j], rhs_t[j][1:])
         )
-        rhs -= float(np.sum(w * w_h0 * (phi.r(times[0]) * phi.S)))
-        out[phi.name] = rhs - lhs
+        rhs -= float(np.sum(w * w_h0 * (r[0] * S)))
+        out[name] = rhs - lhs
     return out
 
 
@@ -590,32 +489,19 @@ def box_run():
     return grid, law, params, res
 
 
-@pytest.mark.parametrize(
-    "which", ["moving-2d", "box-3d", "combo-2d", "combo-rest", "shared-2d"]
-)
+@pytest.mark.parametrize("which", ["moving-2d", "box-3d"])
 def test_weak_residual_matches_reference_loop(which, request):
-    if which == "combo-rest":
-        grid, _, res = request.getfixturevalue("rest_run")
-        law, params = LAW, PARAMS
-    else:
-        fixture = "box_run" if which == "box-3d" else "moving_run"
-        grid, law, params, res = request.getfixturevalue(fixture)
+    fixture = "box_run" if which == "box-3d" else "moving_run"
+    grid, law, params, res = request.getfixturevalue(fixture)
     states = res.recorded_states
-    bank = None
-    if which.startswith("combo"):
-        bank = _combo_bank(grid, res.record_times[-1])
-    elif which == "shared-2d":
-        bank = _shared_part_bank(grid, res.record_times[-1])
-    rep = thermal_weak_residual(grid, law, params, states, bank=bank)
-    if bank is None:
-        bank = make_test_bank(grid, res.record_times[-1])
-    want = _reference_weak_residual(grid, law, params, states, bank)
-    assert [name for name, _ in rep.residuals] == [phi.name for phi in bank]
+    rep = thermal_weak_residual(grid, law, params, states)
+    want = _reference_weak_residual(grid, law, params, states)
+    assert [name for name, _ in rep.residuals] == list(want)
     for name, got in rep.residuals:
         assert got == pytest.approx(want[name], rel=1e-12, abs=1e-15), name
     assert rep.min_residual == min(v for _, v in rep.residuals)
-    # same states, same bank: bitwise-equal report
-    assert thermal_weak_residual(grid, law, params, states, bank=bank) == rep
+    # same states: bitwise-equal report
+    assert thermal_weak_residual(grid, law, params, states) == rep
 
 
 def test_weak_residual_conductivity_table_spans_trajectory(moving_run):
@@ -631,37 +517,80 @@ def test_weak_residual_conductivity_table_spans_trajectory(moving_run):
     # (measured 1.7e-14)
     assert np.max(np.abs(shared - per_state) / per_state) <= 1e-13
     rep = thermal_weak_residual(grid, law, params, states)
-    bank = make_test_bank(grid, res.record_times[-1])
-    want = _reference_weak_residual(grid, law, params, states, bank, per_state_k_h=True)
+    want = _reference_weak_residual(grid, law, params, states, per_state_k_h=True)
     scale = max(abs(v) for v in want.values())
     # measured 2.1e-14 of the largest residual
     assert max(abs(v - want[name]) for name, v in rep.residuals) <= 2e-13 * scale
 
 
 def test_test_bank_is_admissible(rest_run):
-    grid, _, res = rest_run
-    T = res.record_times[-1]
-    bank = make_test_bank(grid, T)
-    assert len(bank) == 50
-    # the rampdown and interior members of each of the 25 spatial parts hold
-    # the same arrays
-    for ramp, interior in zip(bank[::2], bank[1::2]):
-        assert ramp.name.endswith("-rampdown")
-        assert interior.name == ramp.name.replace("-rampdown", "-interior")
-        assert interior.S is ramp.S
-        assert interior.gradS is ramp.gradS
-        assert interior.lapS is ramp.lapS
-    assert len({id(phi.S) for phi in bank}) == 25
-    for phi in bank:
-        assert float(np.min(phi.r(0.0) * phi.S)) >= 0.0
-        assert float(np.max(np.abs(phi.r(T) * phi.S))) == 0.0
-        # outward normal derivative must be <= 0 at every wall so that the
-        # dropped diffusion wall flux can only raise the residual
-        g = phi.r(0.4 * T) * phi.gradS
-        assert float(np.min(g[0][0, :, :])) >= -1e-14
-        assert float(np.max(g[0][-1, :, :])) <= 1e-14
-        assert float(np.min(g[1][:, 0, :])) >= -1e-14
-        assert float(np.max(g[1][:, -1, :])) <= 1e-14
+    # phi = r(t) S >= 0 at every record time and phi = 0 at the final one,
+    # on 1D, 2D and 3D grids
+    times = rest_run[2].record_times
+    for shape in [(17, 1, 1), (1, 13, 1), (6, 5, 1), (9, 8, 7)]:
+        grid = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
+        members = _bank_members(grid, times)
+        names = [m[0] for m in members]
+        # the rampdown and interior members of each of the 25 spatial parts
+        assert len(names) == 50
+        assert names[:2] == ["bump-c0-w0.2-rampdown", "bump-c0-w0.2-interior"]
+        assert names[-2:] == ["uniform-rampdown", "uniform-interior"]
+        for ramp, interior in zip(names[::2], names[1::2]):
+            assert interior == ramp.replace("-rampdown", "-interior")
+        for name, r, _, S, gradS, _ in members:
+            assert float(np.min(r[:, None] * S.reshape(-1))) >= 0.0, name
+            assert float(np.max(np.abs(r[-1] * S))) == 0.0, name
+            # outward normal derivative must be <= 0 at every wall so that
+            # the dropped diffusion wall flux can only raise the residual
+            for a in grid.active_axes:
+                g = np.moveaxis(gradS[a], a, 0)
+                assert float(np.min(g[0])) >= -1e-14, name
+                assert float(np.max(g[-1])) <= 1e-14, name
+
+
+def _difference_errors(shape, n_times):
+    """Largest errors, relative to the largest value, of the bank's grad S
+    against centered differences of S, lap S against second differences of
+    S (interior nodes), and r' against centered differences of r (interior
+    times) on a grid of `shape` and n_times equal steps over [0, 1]."""
+    grid = Grid(shape=shape, extents=(1.0, 1.0, 1.0))
+    times = list(np.linspace(0.0, 1.0, n_times + 1))
+    _, S_mat, G_mat, L_mat, r, rp = _bank_tables(grid, times[-1], times)
+    active = list(grid.active_axes)
+    S = S_mat.reshape((-1,) + shape)
+    G = G_mat.reshape((len(S), len(active)) + shape)
+    L = L_mat.reshape((-1,) + shape)
+    inner = (slice(None),) + tuple(slice(1, -1) if n > 1 else slice(None) for n in shape)
+    err_g, lap = 0.0, np.zeros_like(S)
+    for i, a in enumerate(active):
+        h = 1.0 / (shape[a] - 1)
+        up, down = np.roll(S, -1, axis=1 + a), np.roll(S, 1, axis=1 + a)
+        d = (up - down) / (2.0 * h)
+        err_g = max(err_g, np.max(np.abs(d - G[:, i])[inner]) / np.max(np.abs(G[:, i])))
+        lap += (up - 2.0 * S + down) / h**2
+    err_l = np.max(np.abs(lap - L)[inner]) / np.max(np.abs(L))
+    dt = 1.0 / n_times
+    err_r = np.max(np.abs((r[:, 2:] - r[:, :-2]) / (2.0 * dt) - rp[:, 1:-1])) / np.max(np.abs(rp))
+    return np.array([err_g, err_l, err_r])
+
+
+@pytest.mark.parametrize(
+    "coarse,fine",
+    [((65, 1, 1), (129, 1, 1)), ((33, 33, 1), (65, 65, 1)), ((17, 16, 15), (33, 31, 29))],
+    ids=["1d", "2d", "3d"],
+)
+def test_bank_tables_hold_the_derivatives_of_s_and_r(coarse, fine):
+    # grad S, lap S and r' are the analytic derivatives: the difference
+    # quotients converge to them as the spacing halves, at second order for
+    # grad S and r', and at first order for lap S, because the bump's second
+    # derivative has a kink at its center.  Measured error ratios: 3.1-3.4
+    # (grad S), 1.7-1.9 (lap S) and 3.6 (r'); a wrong derivative does not
+    # converge, a ratio near 1
+    err_coarse, err_fine = _difference_errors(coarse, 64), _difference_errors(fine, 128)
+    assert np.all(err_fine < 0.5)
+    ratios = err_coarse / err_fine
+    assert ratios[0] >= 2.5 and ratios[2] >= 2.5, ratios
+    assert ratios[1] >= 1.4, ratios
 
 
 # ---------------------------------------------------------------------------

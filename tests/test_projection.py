@@ -329,34 +329,77 @@ def test_projection_without_active_axes_is_identity():
     np.testing.assert_array_equal(DivFreeProjector(g).project(H), H)
 
 
-def test_run_and_mollification_share_one_projector(monkeypatch):
-    from mhdlab import projection
-    from mhdlab.constitutive import make_standard_law
-    from mhdlab.solver import SchemeParams, mollify_initial_data, run
-
+def _count_builds(monkeypatch):
+    """The grids DivFreeProjector is built for from now on, in order."""
     built = []
+    init = DivFreeProjector.__init__
 
-    class Counted(DivFreeProjector):
-        def __init__(self, grid):
-            built.append(grid)
-            super().__init__(grid)
+    def counted(self, grid):
+        built.append(grid)
+        init(self, grid)
 
-    monkeypatch.setattr(projection, "DivFreeProjector", Counted)
-    projection.projector_for.cache_clear()
-    try:
-        g = Grid(shape=(9, 8, 1), extents=(1.0, 1.0, 1.0))
-        law = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
-        params = SchemeParams(epsilon=0.05, delta=0.1, t_end=1e-3)
-        x, y = g.mesh()[:2]
-        H0 = _zero_walls(g, np.stack([np.sin(3 * y), np.cos(2 * x), 0.0 * x]))
-        st0, _ = mollify_initial_data(
-            g, law, params, 1.0 + 0.0 * x, np.zeros((3,) + g.shape), 1.0 + 0.0 * x, H0
-        )
-        run(g, law, params, st0)
-        assert built == [g]
-        assert projection.projector_for(Grid(g.shape, g.extents)) is projection.projector_for(g)
-    finally:
-        projection.projector_for.cache_clear()
+    monkeypatch.setattr(DivFreeProjector, "__init__", counted)
+    return built
+
+
+def _mollified(g, law, params):
+    from mhdlab.solver import mollify_initial_data
+
+    x, y = g.mesh()[:2]
+    H0 = _zero_walls(g, np.stack([np.sin(3 * y), np.cos(2 * x), 0.0 * x]))
+    st0, _ = mollify_initial_data(
+        g, law, params, 1.0 + 0.0 * x, np.zeros((3,) + g.shape), 1.0 + 0.0 * x, H0
+    )
+    return st0
+
+
+def test_run_and_mollification_share_one_projector(monkeypatch):
+    from mhdlab.constitutive import make_standard_law
+    from mhdlab.solver import SchemeParams, run
+
+    built = _count_builds(monkeypatch)
+    g = Grid(shape=(9, 8, 1), extents=(1.0, 1.0, 1.0))
+    law = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
+    params = SchemeParams(epsilon=0.05, delta=0.1, t_end=1e-3)
+    run(g, law, params, _mollified(g, law, params))
+    assert built == [g]
+
+
+def test_threads_on_their_own_grids_build_one_projector_each(monkeypatch):
+    # each thread's compiled program holds the projector of its grid, so
+    # two threads that step in turn on two grids build one each
+    import threading
+
+    from mhdlab.constitutive import make_standard_law
+    from mhdlab.solver import SchemeParams, step
+
+    built = _count_builds(monkeypatch)
+    law = make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1)
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    grids = [Grid(shape=(n, n, 1), extents=(1.0, 1.0, 1.0)) for n in (9, 11)]
+    turns = threading.Barrier(len(grids), timeout=60)
+    steps, errors = [], []
+
+    def stepper(g):
+        try:
+            st = _mollified(g, law, params)
+            for _ in range(10):
+                turns.wait()
+                st = step(g, law, params, st, 1e-4)
+                steps.append(g)
+        except Exception as exc:
+            errors.append(exc)
+            turns.abort()
+
+    threads = [threading.Thread(target=stepper, args=(g,)) for g in grids]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(steps) == 20
+    assert sorted(built, key=lambda g: g.shape) == grids
 
 
 @pytest.mark.parametrize("shape", [(33, 1, 1), (17, 15, 1)])

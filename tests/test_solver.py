@@ -783,6 +783,24 @@ def test_record_cadence_and_snapshots():
     assert res.record_times[-1] == pytest.approx(0.03, abs=1e-12)
 
 
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_run_rejects_a_step_budget_below_one(max_steps):
+    # rejected before anything runs, as record_every < 1 is
+    grid = Grid(shape=(9, 9, 1), extents=(1.0, 1.0, 1.0))
+    params = SchemeParams(epsilon=0.05, delta=0.1, dt=1e-3, t_end=0.01)
+    seen = []
+    with pytest.raises(ValueError, match=f"max_steps must be >= 1, got {max_steps}"):
+        run(
+            grid,
+            make_standard_law(),
+            params,
+            _uniform_state(grid),
+            max_steps=max_steps,
+            observer=lambda *args: seen.append(args),
+        )
+    assert seen == []
+
+
 @pytest.mark.parametrize(
     "t_end,steps,dt_min,dt_last", [(2.5e-3, 3, 1e-3, 5e-4), (4e-4, 1, 4e-4, 4e-4)]
 )
