@@ -22,11 +22,23 @@ lambda, which enter no potential.  A potential of any other piece raises
 TypeError: there is no quadrature fallback, and the module imports no scipy.
 Q and Q_h have closed forms and Q inverts exactly, because c_v is constant;
 K_h has no elementary form and is read from a dense cumulative Simpson table.
+
+The value and the integral from zero of a constant, power or sum are step
+lists in the idiom of fieldops.d1_steps: value_steps and integral_steps
+pass each numpy call of the closed form to a builder b, as b.emit(fn,
+*args), on arrays from b.buf(), with x**e read from b.power(x, e).  The
+pieces' __call__, heat_content and conductivity_potential make those steps
+as they are emitted; solver.rhs binds them into its compiled program, whose
+builder takes each power once.  A constant's value is its float, and a sum
+adds its terms left to right from 0, as sum() does, so both routes give
+the bits the plain numpy expressions give.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -47,6 +59,8 @@ __all__ = [
     "thermal_pressure_potential",
     "heat_content",
     "conductivity_potential",
+    "value_steps",
+    "integral_steps",
     "renormalized_heat_content",
     "renormalized_conductivity_potential",
     "internal_energy",
@@ -67,6 +81,80 @@ _SAMPLE_COUNT = 256
 # ---------------------------------------------------------------------------
 
 
+def _call(fn, *args, **kwargs) -> None:
+    fn(*args, **kwargs)
+
+
+# makes a step as it is emitted; operator.call (Python 3.11) does so without
+# a Python frame
+_now = getattr(operator, "call", _call)
+
+
+class _Eager:
+    """A builder that makes each step as it is emitted, on new arrays of
+    one shape."""
+
+    emit = staticmethod(_now)
+    power = staticmethod(np.power)
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def buf(self) -> np.ndarray:
+        return np.empty(self.shape)
+
+
+def _evaluate(form, x):
+    """form(x, builder) made at once: an array shaped like x, a scalar for
+    a scalar x."""
+    x = np.asarray(x, dtype=float)
+    v = form(x, _Eager(x.shape))
+    if isinstance(v, float):
+        return np.full(x.shape, v) if x.ndim else v
+    return v if x.ndim else v[()]
+
+
+def _call_into(fn, x, out) -> None:
+    np.copyto(out, fn(x))
+
+
+def value_steps(prim, x, b):
+    """The steps of prim(x) on the builder b: a float for a constant, else
+    an array of b's that the caller may overwrite.  A piece with no closed
+    form, a table among them, is one call of its own function."""
+    steps = getattr(prim, "steps", None)
+    if steps is not None:
+        return steps(x, b)
+    out = b.buf()
+    b.emit(_call_into, prim, x, out)
+    return out
+
+
+def integral_steps(prim, x, b, out=None):
+    """The steps of int_0^x prim(s) ds on the builder b, written into out,
+    or into an array of b's when out is None."""
+    steps = getattr(prim, "integral_steps", None)
+    if steps is None:
+        raise TypeError(f"no closed form for {prim!r}")
+    return steps(x, b, out)
+
+
+def _fold(values, b):
+    """0 + v_1 + v_2 + ..., added left to right as sum() adds them: the
+    leading floats in Python, the rest into the first array, which turns
+    its -0.0 into +0.0 with the 0 that sum() starts from."""
+    acc, total = 0.0, None
+    for v in values:
+        if total is not None:
+            b.emit(np.add, total, v, total)
+        elif isinstance(v, float):
+            acc += v
+        else:
+            total = v
+            b.emit(np.add, total, acc, total)
+    return acc if total is None else total
+
+
 class Const:
     """Constant coefficient c."""
 
@@ -74,8 +162,15 @@ class Const:
         self.c = float(c)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, self.c) if x.ndim else self.c
+        return _evaluate(self.steps, x)
+
+    def steps(self, x, b):
+        return self.c
+
+    def integral_steps(self, x, b, out=None):
+        out = b.buf() if out is None else out
+        b.emit(np.multiply, x, self.c, out)
+        return out
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
@@ -93,7 +188,21 @@ class Power:
         self.expo = float(expo)
 
     def __call__(self, x):
-        return self.coef * np.power(np.asarray(x, dtype=float), self.expo)
+        return _evaluate(self.steps, x)
+
+    def steps(self, x, b):
+        out = b.buf()
+        b.emit(np.multiply, b.power(x, self.expo), self.coef, out)
+        return out
+
+    def integral_steps(self, x, b, out=None):
+        e = self.expo + 1.0
+        if e <= 0:
+            raise ValueError(f"non-integrable power {self.expo} at zero")
+        out = b.buf() if out is None else out
+        b.emit(np.multiply, b.power(x, e), self.coef, out)
+        b.emit(np.true_divide, out, e, out)
+        return out
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
@@ -110,7 +219,15 @@ class Sum:
         self.terms = terms
 
     def __call__(self, x):
-        return sum(t(x) for t in self.terms)
+        return _evaluate(self.steps, x)
+
+    def steps(self, x, b):
+        return _fold([value_steps(t, x, b) for t in self.terms], b)
+
+    def integral_steps(self, x, b, out=None):
+        # the first term's integral is written into out, and the sum with it
+        parts = [integral_steps(t, x, b, None if i else out) for i, t in enumerate(self.terms)]
+        return _fold(parts, b)
 
     def deriv(self, x):
         return sum(t.deriv(x) for t in self.terms)
@@ -296,21 +413,6 @@ def _antideriv_over_sq(prim, rho):
     raise TypeError(f"no closed form for {prim!r}")
 
 
-def _antideriv_from_zero(prim, x):
-    """int_0^x prim(s) ds with closed forms for catalog primitives."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(prim, Const):
-        return prim.c * x
-    if isinstance(prim, Power):
-        e = prim.expo + 1.0
-        if e <= 0:
-            raise ValueError(f"non-integrable power {prim.expo} at zero")
-        return prim.coef * np.power(x, e) / e
-    if isinstance(prim, Sum):
-        return sum(_antideriv_from_zero(t, x) for t in prim.terms)
-    raise TypeError(f"no closed form for {prim!r}")
-
-
 def _antideriv_over_x(prim, x):
     """int_1^x prim(s)/s ds with closed forms for catalog primitives."""
     x = np.asarray(x, dtype=float)
@@ -337,12 +439,12 @@ def thermal_pressure_potential(law: ConstitutiveLaw, rho):
 
 def heat_content(law: ConstitutiveLaw, theta):
     """Q(theta) = int_0^theta c_v(s) ds."""
-    return _antideriv_from_zero(law.c_v, theta)
+    return _evaluate(partial(integral_steps, law.c_v), theta)
 
 
 def conductivity_potential(law: ConstitutiveLaw, theta):
     """K(theta) = int_0^theta kappa(s) ds."""
-    return _antideriv_from_zero(law.kappa, theta)
+    return _evaluate(partial(integral_steps, law.kappa), theta)
 
 
 def pressure(law: ConstitutiveLaw, rho, theta):

@@ -48,12 +48,11 @@ factors come from one per-grid table, Grid.stencil_axes.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import Const, ConstitutiveLaw
+from .constitutive import Const, ConstitutiveLaw, _now
 from .grid import Grid
 
 EVEN = 1
@@ -78,14 +77,6 @@ __all__ = [
     "identity_residual",
 ]
 
-
-def _call(fn, *args, **kwargs) -> None:
-    fn(*args, **kwargs)
-
-
-# a standalone stencil runs its steps as they are emitted; operator.call
-# (Python 3.11) does so without a Python frame
-_now = getattr(operator, "call", _call)
 
 _TWO = np.array(2.0)
 

@@ -104,7 +104,11 @@ class Grid:
 
     def walls_zero(self, f: np.ndarray) -> bool:
         """Whether every wall value of f is exactly zero (either sign)."""
-        return not any(f[w].any() for w in self._walls)
+        # count_nonzero takes a small slab faster than any() does
+        for w in self._walls:
+            if np.count_nonzero(f[w]):
+                return False
+        return True
 
     def wall_max(self, f: np.ndarray) -> float:
         """Largest |f| on the walls; 0 when no axis is active."""

@@ -156,7 +156,12 @@ class DivFreeProjector:
         self.grid = grid
         # nullity of A: the modes the pseudo-inverse drops
         self.dropped_modes = int(np.prod(grid.shape))
-        if not grid.active_axes:
+        # the components D reads, those of the active axes: every subset of
+        # the three axes is an arithmetic progression
+        axes = grid.active_axes
+        step = axes[1] - axes[0] if len(axes) > 1 else 1
+        self._normal = slice(axes[0], axes[-1] + 1, step) if axes else slice(0, 0)
+        if not axes:
             return  # D = 0: project() returns H at its divergence check
         bases = [_axis_basis(grid.shape[a], grid.spacing[a]) for a in grid.active_axes]
         k = len(bases)
@@ -225,7 +230,7 @@ class DivFreeProjector:
                     f"vs field scale {scale:.3e})"
                 )
         H = g.zero_walls(H.copy())
-        if not any(H[a].any() for a in g.active_axes):
+        if not np.count_nonzero(H[self._normal]):
             return H  # D reads only these components: div H is exactly zero
         b = divergence(g, H, parity=ODD)
         hnorm = float(np.sqrt((H * H).sum()))

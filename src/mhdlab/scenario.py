@@ -228,6 +228,11 @@ def load_scenario(path, overrides=()) -> Scenario:
     for key in ("record_every", "max_steps"):
         if values[("output", key)] < 1:
             raise ConfigError(f"output.{key} must be >= 1, got {values[('output', key)]}")
+    # an inf or nan law constant or scheme weight passes the range checks
+    # below and overflows in the first step
+    for (section, key), value in values.items():
+        if section in ("law", "scheme") and isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite, got {value}")
     try:
         grid = Grid(shape=values[("grid", "shape")], extents=values[("grid", "extents")])
         law = make_standard_law(
@@ -243,6 +248,9 @@ def load_scenario(path, overrides=()) -> Scenario:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not grid.active_axes:
+        shape = " ".join(map(str, grid.shape))
+        raise ConfigError(f"grid.shape {shape} has no active axis (one of at least 3 nodes)")
     # the scheme's bounds, the stability limit among them, rest on these
     failures = validate_hypotheses(law).failures
     if failures:
@@ -355,14 +363,14 @@ def run_scenario(scenario: Scenario, outdir) -> dict:
     Partial records are flushed even when the run aborts, so a failed run
     still leaves evidence on disk.
     """
+    grid, law, params = scenario.grid, scenario.law, scenario.params
+    # initial data the scheme rejects leaves no directory behind
+    state0, moll = mollify_initial_data(grid, law, params, *initial_fields(scenario))
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     prefix = scenario.prefix
     (outdir / f"{prefix}-resolved.ini").write_bytes(resolved_config_bytes(scenario))
-
-    grid, law, params = scenario.grid, scenario.law, scenario.params
-    rho0, u0, theta0, H0 = initial_fields(scenario)
-    state0, moll = mollify_initial_data(grid, law, params, rho0, u0, theta0, H0)
 
     records = []
 

@@ -38,28 +38,40 @@ rhs is compiled.  _compile_rhs resolves everything that depends only on
 the active axes, the lam branch, the curl curl and stress assembly and the
 folded sums.  It emits the body as a flat list of functools.partial calls
 on the buffers it allocated, with every scalar taken from the key objects.
-A law piece that is not a Const coefficient (mu, lam, p_e, p_th), and each
-of heat_content and conductivity_potential, stays one call of the law's own
-function, whose result is copied into a buffer.  A call copies rho, u,
-theta and H into the bound input buffers, replays the list and copies the
-bound output stack into out; sources are added after.  Each stencil enters
-the list as its steps: fieldops.d1_steps or d2_steps, looked up in fieldops
-when the program compiles, emit the numpy calls of that d1 or d2 bound to
-the program's buffers.  A replay therefore calls neither fieldops.d1 nor
-d2, and a wrapper of a step builder sees each stencil once per compile.
-The key holds the grid, not only its shape, because two grids of one shape
-can differ in spacing.
+A call copies into the bound input buffers those of rho, u, theta and H
+that are not already there, replays the list and copies the bound output
+stack into out; sources are added after.  Each stencil enters the list as
+its steps: fieldops.d1_steps or d2_steps, looked up in fieldops when the
+program compiles, emit the numpy calls of that d1 or d2 bound to the
+program's buffers.  The law enters it the same way: value_steps and
+integral_steps of constitutive emit the calls of the closed form of a
+Const, Power or Sum piece (mu, lam, p_e, p_th, and c_v and kappa for Q and
+K), the steps the law's own functions make at once.  A Const coefficient
+is its float; a piece with no closed form, a Tabulated mu or lam, stays
+one call of its own function, copied into a buffer.  Each distinct power
+(operand, exponent) is taken once, so one theta^(alpha+1) serves K and the
+delta-sink.  A replay therefore calls neither fieldops.d1 nor d2 nor into
+constitutive, and a wrapper of a step builder sees each stencil once per
+compile.  The key holds the grid, not only its shape, because two grids of
+one shape can differ in spacing.
 
 Each thread keeps one program, that of its last key, and compiles anew
 when the key changes; run() drops it when it returns or raises.  The
 program also holds the stacks of step, which holds the conserved tuple,
 and each of its two stage rates, as one stack of 8 rows (rho, w, m, H)
-that rhs fills through its out= argument.  Each stage update, wall reset
-and finiteness check is then one call over the stack.  The returned State
-owns new arrays.  The program holds the grid's divergence projector too,
-which step and mollify_initial_data take from it: a run and the
-mollification of its initial data share one build, and two threads on
-their own grids build one each.
+that rhs fills through its out= argument.  Each stage update and
+finiteness check is then one call over the stack, and each wall reset one
+fill per active axis.  step builds the conserved tuple after the first
+replay, from that replay's inputs and its rho u and Q(theta), and recovers
+the stage-1 primitives straight into the program's input buffers, so the
+second rhs copies none of them; the stage-2 primitives go to new arrays,
+which the returned State owns.  _recover and stable_dt read their minima
+and maxima by ufunc reductions into the program's scratch, and stable_dt
+takes kappa(theta_max) by kappa's steps on a 0-d buffer of the program, so
+a step calls into constitutive neither.  The program holds the grid's
+divergence projector too, which step and mollify_initial_data take from
+it: a run and the mollification of its initial data share one build, and
+two threads on their own grids build one each.
 
 Regularization knobs: epsilon adds mass diffusion (with its compensating
 velocity-gradient force in the momentum equation), delta carries the
@@ -79,7 +91,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fieldops
-from .constitutive import Const, ConstitutiveLaw, conductivity_potential, heat_content
+from .constitutive import ConstitutiveLaw, integral_steps, value_steps
 from .errors import ConfigError, InvariantViolation, NumericalAbort
 from .fieldops import EVEN, ODD, _is_zero_coeff
 from .grid import Grid
@@ -262,6 +274,8 @@ _RHO, _W, _M, _H = 0, 1, slice(2, 5), slice(5, 8)
 _WALLED = slice(2, 8)
 _BLOCKS = (("mass", _RHO), ("momentum", _M), ("thermal", _W), ("magnetic", _H))
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# ufunc reductions, which have no Python-level wrapper as ndarray.min has
+_min, _max, _all = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
 
 
 class _Slot(threading.local):
@@ -297,8 +311,30 @@ def _rows(idx) -> slice:
     return slice(idx[0], idx[-1] + 1, step)
 
 
-def _call_into(fn, x, out) -> None:
-    np.copyto(out, fn(x))
+def _builder(calls: list, shape: tuple) -> SimpleNamespace:
+    """What the steps of a stencil or a law piece are emitted to: emit binds
+    a call and appends it to calls, buf allocates a zeroed array of the
+    shape, and power(x, e) is an array holding x**e, taken once for each
+    operand and exponent."""
+    powers = {}
+
+    def emit(fn, *args, **kwargs):
+        # a float operand as a 0-d array, which numpy takes faster to the
+        # same bits
+        args = [np.asarray(a) if type(a) is float else a for a in args]
+        calls.append(partial(fn, *args, **kwargs))
+
+    def buf(*lead):
+        return np.zeros(lead + shape)
+
+    def power(x, e):
+        key = (id(x), e)
+        if key not in powers:
+            powers[key] = x, buf()  # x is kept, so its id stays its own
+            emit(np.power, x, e, powers[key][1])
+        return powers[key][1]
+
+    return SimpleNamespace(emit=emit, buf=buf, power=power)
 
 
 def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> SimpleNamespace:
@@ -307,34 +343,21 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     and the buffers they bind.
 
     No value carries over between replays: the calls write every buffer
-    they read, except the inputs rho, u, theta and H, which rhs copies in,
-    and the columns of suppressed axes in odd_col and even_col, never
-    written, which stay zero.  The result is in out.
+    they read, except the inputs rho, u, theta and H, which rhs copies in
+    when they are not already there, and the columns of suppressed axes in
+    odd_col and even_col, never written, which stay zero.  The result is in
+    out.
     """
+    if not grid.active_axes:
+        raise ConfigError(f"rhs needs an active axis; the grid {grid.shape} has none")
     calls = []
     shape = grid.shape
-
-    def buf(*lead):
-        return np.zeros(lead + shape)
-
-    def emit(fn, *args, **kwargs):
-        # a float operand as a 0-d array, which numpy takes faster to the
-        # same bits
-        args = [np.asarray(a) if type(a) is float else a for a in args]
-        calls.append(partial(fn, *args, **kwargs))
+    b = _builder(calls, shape)
+    emit, buf, power = b.emit, b.buf, b.power
 
     def stencil(name, f, axis, parity, out):
         # the steps of fieldops.d1 or d2, bound to these operands
         getattr(fieldops, f"{name}_steps")(grid, f, axis, parity, out, emit)
-
-    def piece(prim, x):
-        # a Const coefficient is its float, which scales an array to the
-        # same bits as a filled array would, without filling one
-        if isinstance(prim, Const):
-            return prim.c
-        out = buf()
-        emit(_call_into, prim, x, out)
-        return out
 
     def fold(out, terms, pad=True):
         # out = terms added left to right.  pad=True also adds +0.0, which
@@ -347,9 +370,11 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
         for term in rest:
             emit(np.add, out, term, out)
 
-    def cross(a, b, out):
-        # fieldops.cross, component by component
+    def cross(a, b, out, rows=(0, 1, 2)):
+        # fieldops.cross, component by component, of the given rows
         for c, i, j in _CYCLIC:
+            if c not in rows:
+                continue
             emit(np.multiply, a[i], b[j], out[c])
             emit(np.multiply, a[j], b[i], tmp)
             emit(np.subtract, out[c], tmp, out[c])
@@ -366,33 +391,35 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     even = buf(6)  # phase 1 EVEN operands: u x H, ptot, rho, K
     rho, u, theta, H = even[4], odd[0:3], buf(), odd[3:6]
 
-    mu = piece(law.mu, theta)
-    lam = None if _is_zero_coeff(law.lam) else piece(law.lam, theta)
+    # the law's pieces by their closed forms: a Const coefficient is its
+    # float, which scales an array to the same bits as a filled array would
+    mu = value_steps(law.mu, theta, b)
+    lam = None if _is_zero_coeff(law.lam) else value_steps(law.lam, theta, b)
     rho_u = buf(3)
     emit(np.multiply, rho, u, rho_u)
-    q = buf()
-    emit(_call_into, partial(heat_content, law), theta, q)
+    q = integral_steps(law.c_v, theta, b)  # Q(theta)
     rho_q = buf()
     emit(np.multiply, rho, q, rho_q)
     # theta p_th(rho): in the pressure and in the thermal block
     theta_pth = buf()
-    p_th = buf()
-    emit(_call_into, law.p_th, rho, p_th)
-    emit(np.multiply, theta, p_th, theta_pth)
+    emit(np.multiply, theta, value_steps(law.p_th, rho, b), theta_pth)
 
     # phase 1: one ODD and one EVEN d1 per axis on the state-level operands,
     # and one d2 per axis on [rho, K].  Column j of a table holds d_j of
     # every operand: du[i, j] = odd_col[j, i], dH[i, j] = odd_col[j, 3 + i],
     # d_j (u x H)_i = even_col[j, i], d_j ptot = even_col[j, 3] and
     # d_j rho = even_col[j, 4].
-    cross(u, H, even[0:3])
+    # a row c of curl H and of the induction whose axes i, j are both
+    # suppressed, as the active axis of a 1D grid, is +0.0 - +0.0: it is
+    # left as the +0.0 of its zeroed buffer.  (u x H)_c then feeds only
+    # d_c (u x H)_c, which no term reads, and is not formed either.
+    curl_rows = [c for c, i, j in _CYCLIC if i in axes or j in axes]
+    cross(u, H, even[0:3], curl_rows)
     # ptot = pressure(law, rho, theta) + delta rho^beta
-    emit(_call_into, law.p_e, rho, even[3])
-    emit(np.add, even[3], theta_pth, even[3])
-    emit(np.power, rho, params.beta, tmp)
-    emit(np.multiply, tmp, delta, tmp)
+    emit(np.add, value_steps(law.p_e, rho, b), theta_pth, even[3])
+    emit(np.multiply, power(rho, params.beta), delta, tmp)
     emit(np.add, even[3], tmp, even[3])
-    emit(_call_into, partial(conductivity_potential, law), theta, even[5])
+    integral_steps(law.kappa, theta, b, even[5])  # K(theta)
     odd_col, even_col = buf(3, 8), buf(3, 5)
     for j in axes:
         emit(np.copyto, odd[6], rho_u[j])
@@ -414,6 +441,8 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
 
     curl_H = buf(3)
     for c, i, j in _CYCLIC:
+        if c not in curl_rows:
+            continue
         emit(np.subtract, odd_col[i, 3 + j], odd_col[j, 3 + i], curl_H[c])
         emit(np.subtract, even_col[i, j], even_col[j, i], induction[c])
 
@@ -528,11 +557,22 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     # squares are never -0.0, so the exact zeros of pairs of suppressed axes
     # change no bit of the sum.  A reduction over the leading axis of a
     # C-contiguous stack adds its rows in order, as a loop would.
-    sym = buf(3, 3)
-    emit(np.add, odd_col[:, 0:3], odd_col[:, 0:3].swapaxes(0, 1), sym)
-    emit(np.multiply, sym, sym, sym)
     diss = buf()
-    emit(np.add.reduce, sym.reshape((9,) + shape), axis=0, out=diss)
+    if len(axes) > 1:
+        sym = buf(3, 3)
+        emit(np.add, odd_col[:, 0:3], odd_col[:, 0:3].swapaxes(0, 1), sym)
+        emit(np.multiply, sym, sym, sym)
+        emit(np.add.reduce, sym.reshape((9,) + shape), axis=0, out=diss)
+    else:
+        # on a 1D grid with active axis a only row a and column a are not
+        # exact zeros, and sym[j, a] = sym[a, j]: the sum takes the squares
+        # of row a in the order of that reduction
+        (a,) = axes
+        sym_a = buf(3)
+        emit(np.add, odd_col[a, 0:3], odd_col[0:3, a], sym_a)
+        emit(np.multiply, sym_a, sym_a, sym_a)
+        squares = [sym_a[j if i == a else i] for i in range(3) for j in range(3) if a in (i, j)]
+        fold(diss, squares, pad=False)
     if isinstance(mu, float):
         emit(np.multiply, diss, 0.5 * mu, diss)
     else:
@@ -550,8 +590,8 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     emit(np.add, heating, diss, heating)
     emit(np.multiply, heating, 1.0 - delta, heating)
     emit(np.subtract, lap[1], flux_div[1], dw)
-    emit(np.power, theta, law.alpha + 1.0, tmp)
-    emit(np.multiply, tmp, delta, tmp)
+    # kappa's Power(k, alpha) term integrates to the same power
+    emit(np.multiply, power(theta, law.alpha + 1.0), delta, tmp)
     emit(np.subtract, dw, tmp, dw)
     emit(np.add, dw, heating, dw)
     emit(np.multiply, theta_pth, divu, tmp)
@@ -562,12 +602,33 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     emit(np.subtract, drho, flux_div[0], drho)
 
     # step's conserved stacks: the state x0, the stage-1 state x1 and the
-    # two stage rates; the stage-2 state is built in k2
+    # two stage rates; the stage-2 state is built in k2.  load_x0 builds x0
+    # after a replay from its inputs and its rho u and Q(theta).
     x0, x1, k1, k2 = (np.empty((8,) + shape) for _ in range(4))
-    finite = np.empty((8,) + shape, bool)
+    load_x0 = []
+    emit0 = _builder(load_x0, shape).emit
+    emit0(np.copyto, x0[_RHO], rho)
+    emit0(np.copyto, x0[_M], rho_u)
+    emit0(np.add, rho, delta, x0[_W])
+    emit0(np.multiply, x0[_W], q, x0[_W])
+    emit0(np.copyto, x0[_H], H)
+
+    def wall_reset(x):
+        # one fill per active axis, on a view of both walls of the walled rows
+        rows = x[_WALLED]
+        return [partial(rows.reshape(ax.lines)[ax.walls].fill, 0.0) for ax in grid.stencil_axes if ax]
+
+    # stable_dt's scratch, and kappa at the 0-d theta_max by its steps
+    kappa_calls = []
+    theta_max = np.zeros(())
+    kappa_max = value_steps(law.kappa, theta_max, _builder(kappa_calls, ()))
     return SimpleNamespace(
         calls=calls, rho=rho, u=u, theta=theta, H=H, out=out, x0=x0, x1=x1, k1=k1, k2=k2,
-        finite=finite, projector=DivFreeProjector(grid),
+        load_x0=load_x0, zero_x1_walls=wall_reset(x1), zero_k2_walls=wall_reset(k2),
+        finite=np.empty((8,) + shape, bool), delta=np.asarray(delta), c_v=np.asarray(law.c_v.c),
+        u_sq=buf(3), speed_sq=buf(), theta_max=theta_max, kappa_calls=kappa_calls,
+        kappa_max=kappa_max, h=min(grid.spacing_active), d=len(axes),
+        projector=DivFreeProjector(grid),
     )
 
 
@@ -593,10 +654,14 @@ def rhs(
     written; the returned blocks are views of it.
     """
     program = _program(grid, law, params)
-    np.copyto(program.rho, rho)
-    np.copyto(program.u, u)
-    np.copyto(program.theta, theta)
-    np.copyto(program.H, H)
+    if rho is not program.rho:
+        np.copyto(program.rho, rho)
+    if u is not program.u:
+        np.copyto(program.u, u)
+    if theta is not program.theta:
+        np.copyto(program.theta, theta)
+    if H is not program.H:
+        np.copyto(program.H, H)
     for call in program.calls:
         call()
     if out is None:
@@ -623,15 +688,21 @@ def stable_dt(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: Sta
     kappa(theta_max)/((rho_min+delta) cv_lo); the sink limit keeps the
     explicit theta update in the contraction region of the delta-sink.
     """
-    h = min(grid.spacing_active)
-    d = grid.ndim_active
-    speed = float((state.u * state.u).sum(axis=0).max()) ** 0.5
-    rho_min = float(state.rho.min())
-    theta_max = float(state.theta.max())
+    program = _program(grid, law, params)
+    h, d = program.h, program.d
+    # max |u|^2, min rho and max theta by ufunc reductions into the
+    # program's scratch; the sum adds the rows in order, as .sum(axis=0)
+    np.multiply(state.u, state.u, program.u_sq)
+    np.add.reduce(program.u_sq, 0, None, program.speed_sq)
+    speed = float(_max(program.speed_sq, None)) ** 0.5
+    rho_min = float(_min(state.rho, None))
+    theta_max = float(_max(state.theta, None, None, program.theta_max))
     if not rho_min > 0.0:
         raise InvariantViolation(f"density positivity lost: min rho = {rho_min:.6g}")
     cv_lo = law.bounds.cv_lo
-    kappa_max = float(np.max(law.kappa(theta_max)))
+    for call in program.kappa_calls:
+        call()
+    kappa_max = float(program.kappa_max)
     diff = max(
         params.epsilon,
         law.nu,
@@ -654,23 +725,27 @@ def stable_dt(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: Sta
 # ---------------------------------------------------------------------------
 
 
-def _recover(law, params, x, incidents: IncidentLog, stage: str, t: float):
-    """Primitives from a conserved stack, with guarded division and floors."""
+def _recover(program, x, incidents: IncidentLog, stage: str, t: float, u, theta) -> None:
+    """The primitives u and theta of a conserved stack, written into u and
+    theta, with guarded division and floors."""
     rho, m, w = x[_RHO], x[_M], x[_W]
-    rho_min = float(rho.min())
+    rho_min = float(_min(rho, None))
     if not rho_min > 0.0:
         raise InvariantViolation(
             f"density positivity lost ({stage}, t={t:.6g}): min rho = {rho_min:.6g}"
         )
-    floor = 0.5 * params.delta
+    floor = 0.5 * float(program.delta)
     if rho_min < floor:
         incidents.velocity_clamp_nodes += int(np.count_nonzero(rho < floor))
-        u = m / np.maximum(rho, floor)
+        np.divide(m, np.maximum(rho, floor), u)
     else:
-        u = m / rho
+        np.divide(m, rho, u)
 
-    q = w / (rho + params.delta)
-    q_min = float(q.min())
+    # q = w / (rho + delta), in theta
+    q = theta
+    np.add(rho, program.delta, q)
+    np.divide(w, q, q)
+    q_min = float(_min(q, None))
     if q_min < 0.0:
         scale = max(float(np.max(np.abs(q))), 1e-300)
         if q_min < -1e-12 * scale:
@@ -678,14 +753,13 @@ def _recover(law, params, x, incidents: IncidentLog, stage: str, t: float):
                 f"thermal content went negative ({stage}, t={t:.6g}): min = {q_min:.6g}"
             )
         incidents.heat_floor_nodes += int(np.count_nonzero(q < 0.0))
-        q = np.maximum(q, 0.0)
+        np.maximum(q, 0.0, q)
     # theta = temperature_from_heat(law, q); q >= 0 needs no second scan
-    q /= law.c_v.c
-    return u, q
+    np.divide(q, program.c_v, theta)
 
 
 def _check_finite(x: np.ndarray, finite: np.ndarray, t: float) -> None:
-    if not np.isfinite(x, out=finite).all():
+    if not _all(np.isfinite(x, finite), None):
         for name, rows in _BLOCKS:
             bad = int(np.count_nonzero(~finite[rows]))
             if bad:
@@ -722,28 +796,30 @@ def step(
 
     program = _program(grid, law, params)
     x0, x1, k1, k2 = program.x0, program.x1, program.k1, program.k2
-    rho0 = state.rho
-    x0[_RHO] = rho0
-    np.multiply(rho0, state.u, out=x0[_M])
-    np.multiply(rho0 + params.delta, heat_content(law, state.theta), out=x0[_W])
-    x0[_H] = state.H
-
-    rhs(grid, law, params, rho0, state.u, state.theta, state.H, t=t, sources=sources, out=k1)
-    np.multiply(k1, dt, out=x1)
-    x1 += x0
-    grid.zero_walls(x1[_WALLED])
+    rhs(grid, law, params, state.rho, state.u, state.theta, state.H, t=t, sources=sources, out=k1)
+    for call in program.load_x0:
+        call()
+    np.multiply(k1, dt, x1)
+    np.add(x1, x0, x1)
+    for call in program.zero_x1_walls:
+        call()
     _check_finite(x1, program.finite, t)
-    u1, th1 = _recover(law, params, x1, incidents, "stage 1", t)
+    # the stage-1 state goes straight into the program's inputs
+    _recover(program, x1, incidents, "stage 1", t, program.u, program.theta)
+    np.copyto(program.rho, x1[_RHO])
+    np.copyto(program.H, x1[_H])
 
     t2 = t + dt
-    rhs(grid, law, params, x1[_RHO], u1, th1, x1[_H], t=t2, sources=sources, out=k2)
+    rhs(grid, law, params, program.rho, program.u, program.theta, program.H, t=t2, sources=sources, out=k2)
     x2 = k2
-    x2 += k1
-    x2 *= 0.5 * dt
-    x2 += x0
-    grid.zero_walls(x2[_WALLED])
+    np.add(x2, k1, x2)
+    np.multiply(x2, 0.5 * dt, x2)
+    np.add(x2, x0, x2)
+    for call in program.zero_k2_walls:
+        call()
     _check_finite(x2, program.finite, t2)
-    u2, th2 = _recover(law, params, x2, incidents, "stage 2", t2)
+    u2, th2 = np.empty(x2[_M].shape), np.empty(x2[_W].shape)
+    _recover(program, x2, incidents, "stage 2", t2, u2, th2)
     # project returns a new array
     return State(grid, x2[_RHO].copy(), u2, th2, program.projector.project(x2[_H]), t2)
 

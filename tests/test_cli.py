@@ -96,6 +96,34 @@ def test_run_rejects_what_the_scheme_cannot_run(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("grid.shape=1 1 1", "grid.shape 1 1 1 has no active axis"),
+        ("law.nu=inf", "law.nu must be finite, got inf"),
+        ("law.kappa0=inf", "law.kappa0 must be finite, got inf"),
+        ("law.gamma=nan", "law.gamma must be finite, got nan"),
+        ("scheme.epsilon=inf", "scheme.epsilon must be finite, got inf"),
+        ("scheme.t_end=inf", "scheme.t_end must be finite, got inf"),
+        ("initial.rho_amplitude=2", "initial density must be non-negative"),
+        ("initial.theta_amplitude=-2", "initial temperature must be strictly positive"),
+    ],
+)
+def test_run_rejects_empty_grids_non_finite_constants_and_bad_initial_data(
+    tmp_path, capsys, override, message
+):
+    # each exits 2 and leaves no --out directory: the grid and the constants
+    # are rejected at load, the initial data before the directory is made
+    out = tmp_path / "out"
+    args = ["run", "--config", str(CONFIGS / "sweep_delta.ini"), "--out", str(out)]
+    for o in ("grid.shape=9 9 1", "scheme.t_end=0.01", override):
+        args += ["--override", o]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", _cfg(tmp_path), "--out", str(out)]) == 0

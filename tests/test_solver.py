@@ -550,6 +550,77 @@ def test_rhs_stencil_calls_per_axis(shape, lam0, monkeypatch):
     assert calls == first
 
 
+_LAW_SHAPES = {
+    # kappa's Power(0.4, alpha) term shares theta^(alpha+1) with the sink
+    "kappa-two-powers": make_standard_law(kappa=Sum(Power(0.4, 3.0), Power(0.3, 2.5))),
+    "kappa-power": make_standard_law(kappa=Power(0.5, 3.0)),
+    "p_th-exponent": make_standard_law(p_th=Power(0.8, 0.3), lam0=0.1),
+}
+
+
+@pytest.mark.parametrize("shape", [(17, 1, 1), (1, 11, 1), (1, 1, 13), (9, 7, 1), (7, 6, 5)])
+@pytest.mark.parametrize("name", sorted(_LAW_SHAPES))
+def test_rhs_bitwise_matches_reference_for_law_shapes(shape, name):
+    law = _LAW_SHAPES[name]
+    grid = Grid(shape=shape, extents=(1.0, 1.3, 0.9))
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    fields, _ = _random_state(grid, 5, shape[2] == 1)
+    _assert_bitwise(rhs(grid, law, params, *fields), _reference_rhs(grid, law, params, *fields))
+
+
+def test_standard_law_program_takes_each_power_once():
+    # rho^gamma (p_e), rho^(gamma/3) (p_th), rho^beta (artificial pressure)
+    # and theta^(alpha+1), which K and the delta-sink share
+    grid = Grid(shape=(17, 1, 1), extents=(1.0, 1.0, 1.0))
+    law, params = make_standard_law(), SchemeParams(epsilon=0.05, delta=0.1, beta=4.5)
+    program = solver._compile_rhs(grid, law, params)
+    operand = {id(program.rho): "rho", id(program.theta): "theta"}
+    taken = [(operand[id(c.args[0])], float(c.args[1])) for c in program.calls if c.func is np.power]
+    assert sorted(taken) == sorted(
+        [("rho", law.gamma), ("rho", law.gamma / 3.0), ("rho", 4.5), ("theta", law.alpha + 1.0)]
+    )
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        make_standard_law(nu=0.1, mu0=0.1, kappa0=0.1),
+        replace(make_standard_law(), mu=Sum(Const(0.2), Power(0.1, 1.5)), lam=Power(0.05, 2.0)),
+    ],
+    ids=["standard", "power-mu-lam"],
+)
+def test_compiled_step_makes_no_call_into_the_law(law, monkeypatch):
+    # once compiled, neither a replay of rhs nor a whole step, stability
+    # limit included, evaluates a law piece or potential by its own function
+    from mhdlab import constitutive
+
+    grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.0, 1.0))
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    state = _smooth_state(grid, law, params)
+    fields, _ = _random_state(grid, 11, True)
+    want_rhs = [a.tobytes() for a in rhs(grid, law, params, *fields)]
+    want_step = _state_bytes(step(grid, law, params, state, 1e-4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a call into constitutive")
+
+    for cls in (Const, Power, Sum):
+        for name in ("__call__", "steps", "integral_steps"):
+            monkeypatch.setattr(cls, name, refuse)
+    for name in ("heat_content", "conductivity_potential", "value_steps", "integral_steps"):
+        monkeypatch.setattr(constitutive, name, refuse)
+    assert [a.tobytes() for a in rhs(grid, law, params, *fields)] == want_rhs
+    assert _state_bytes(step(grid, law, params, state, 1e-4)) == want_step
+
+
+def test_rhs_rejects_a_grid_with_no_active_axis():
+    grid = Grid(shape=(1, 1, 1), extents=(1.0, 1.0, 1.0))
+    law, params = make_standard_law(), SchemeParams(epsilon=0.05, delta=0.1)
+    fields = (np.ones(grid.shape), grid.vector_field(), np.ones(grid.shape), grid.vector_field())
+    with pytest.raises(ConfigError, match=r"rhs needs an active axis; the grid \(1, 1, 1\) has none"):
+        rhs(grid, law, params, *fields)
+
+
 # ---------------------------------------------------------------------------
 # stability limit
 # ---------------------------------------------------------------------------
