@@ -9,27 +9,28 @@ bookkeeping:
 
     P_e(rho)  = int_1^rho p_e(s)/s^2 ds        elastic potential
     P_th(rho) = int_1^rho p_th(s)/s^2 ds       thermal pressure potential
-    Q(theta)  = int_0^theta c_v(s) ds          heat content
+    Q(theta)  = c_v theta                      heat content
     K(theta)  = int_0^theta kappa(s) ds        conductivity potential
 
 plus the renormalized variants Q_h, K_h obtained by weighting the integrand
 with h(theta) = (1+theta)^-omega.
 
-Laws are composed from a small catalog of primitive forms: constant, power,
-sums of these, and piecewise-linear tables.  Every potential has a closed
-form for the first three; a table has none, so it may serve only as mu or
-lambda, which enter no potential.  A potential of any other piece raises
-TypeError: there is no quadrature fallback, and the module imports no scipy.
-Q and Q_h have closed forms and Q inverts exactly, because c_v is constant;
-K_h has no elementary form and is read from a dense cumulative Simpson table.
+The specific heat c_v is a float, as the scheme assumes: Q and Q_h have
+closed forms and Q inverts exactly.  The other coefficients are composed
+from a small catalog of primitive forms: constant, power, sums of these,
+and piecewise-linear tables.  Every potential has a closed form for the
+first three; a table has none, so it may serve only as mu or lambda, which
+enter no potential.  A potential of any other piece raises TypeError: there
+is no quadrature fallback, and the module imports no scipy.  K_h has no
+elementary form and is read from a dense cumulative Simpson table.
 
 The value and the integral from zero of a constant, power or sum are step
 lists in the idiom of fieldops.d1_steps: value_steps and integral_steps
 pass each numpy call of the closed form to a builder b, as b.emit(fn,
 *args), on arrays from b.buf(), with x**e read from b.power(x, e).  The
-pieces' __call__, heat_content and conductivity_potential make those steps
-as they are emitted; solver.rhs binds them into its compiled program, whose
-builder takes each power once.  A constant's value is its float, and a sum
+pieces' __call__ and conductivity_potential make those steps as they are
+emitted; solver.rhs binds them into its compiled program, whose builder
+takes each power once.  A constant's value is its float, and a sum
 adds its terms left to right from 0, as sum() does, so both routes give
 the bits the plain numpy expressions give.
 """
@@ -63,9 +64,7 @@ __all__ = [
     "integral_steps",
     "renormalized_heat_content",
     "renormalized_conductivity_potential",
-    "internal_energy",
     "entropy",
-    "maxwell_residual",
     "temperature_from_heat",
     "check_admissible",
     "validate_hypotheses",
@@ -282,7 +281,8 @@ class ConstitutiveLaw:
     gamma is the cold-pressure growth exponent, alpha the conductivity growth
     exponent, nu the (constant) magnetic diffusivity.  The structural
     constraints gamma > 3/2, alpha > 2, nu > 0 are enforced here; everything
-    sampled lives in validate_hypotheses.
+    sampled lives in validate_hypotheses.  c_v is the constant specific
+    heat.
     """
 
     gamma: float
@@ -293,7 +293,7 @@ class ConstitutiveLaw:
     mu: Callable
     lam: Callable
     kappa: Callable
-    c_v: Callable
+    c_v: float
     bounds: HypothesisBounds
 
     def __post_init__(self):
@@ -305,6 +305,8 @@ class ConstitutiveLaw:
             raise ValueError(f"alpha must exceed 2, got alpha={self.alpha}")
         if not self.nu > 0.0:
             raise ValueError(f"nu must be positive, got nu={self.nu}")
+        if not isinstance(self.c_v, float):
+            raise TypeError(f"c_v must be a float, got {self.c_v!r}")
 
 
 def _value_range(prim):
@@ -388,7 +390,7 @@ def make_standard_law(
         mu=mu,
         lam=lam,
         kappa=kappa,
-        c_v=Const(cv0),
+        c_v=float(cv0),
         bounds=bounds,
     )
 
@@ -413,20 +415,6 @@ def _antideriv_over_sq(prim, rho):
     raise TypeError(f"no closed form for {prim!r}")
 
 
-def _antideriv_over_x(prim, x):
-    """int_1^x prim(s)/s ds with closed forms for catalog primitives."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(prim, Const):
-        return prim.c * np.log(x)
-    if isinstance(prim, Power):
-        if abs(prim.expo) < 1e-14:
-            return prim.coef * np.log(x)
-        return prim.coef * (np.power(x, prim.expo) - 1.0) / prim.expo
-    if isinstance(prim, Sum):
-        return sum(_antideriv_over_x(t, x) for t in prim.terms)
-    raise TypeError(f"no closed form for {prim!r}")
-
-
 def elastic_potential(law: ConstitutiveLaw, rho):
     """P_e(rho) = int_1^rho p_e(s)/s^2 ds."""
     return _antideriv_over_sq(law.p_e, rho)
@@ -438,8 +426,8 @@ def thermal_pressure_potential(law: ConstitutiveLaw, rho):
 
 
 def heat_content(law: ConstitutiveLaw, theta):
-    """Q(theta) = int_0^theta c_v(s) ds."""
-    return _evaluate(partial(integral_steps, law.c_v), theta)
+    """Q(theta) = c_v theta."""
+    return law.c_v * np.asarray(theta, dtype=float)
 
 
 def conductivity_potential(law: ConstitutiveLaw, theta):
@@ -452,28 +440,9 @@ def pressure(law: ConstitutiveLaw, rho, theta):
     return law.p_e(rho) + np.asarray(theta, dtype=float) * law.p_th(rho)
 
 
-def internal_energy(law: ConstitutiveLaw, rho, theta):
-    """e(rho,theta) = P_e(rho) + Q(theta)."""
-    return elastic_potential(law, rho) + heat_content(law, theta)
-
-
 def entropy(law: ConstitutiveLaw, rho, theta):
-    """s(rho,theta) = int_1^theta c_v(s)/s ds - P_th(rho)."""
-    return _antideriv_over_x(law.c_v, theta) - thermal_pressure_potential(law, rho)
-
-
-def maxwell_residual(law: ConstitutiveLaw, rho: float, theta: float, step: float = 1e-5):
-    """Finite-difference check of the thermodynamic compatibility relation.
-
-    Returns d e/d rho (central difference) minus (p - theta dp/dtheta)/rho^2;
-    for the additive closure the second factor reduces to p_e(rho)/rho^2, so
-    the residual is pure discretization error, O(step^2).
-    """
-    de = (
-        internal_energy(law, rho + step, theta)
-        - internal_energy(law, rho - step, theta)
-    ) / (2.0 * step)
-    return float(de - law.p_e(rho) / rho**2)
+    """s(rho,theta) = c_v log(theta) - P_th(rho)."""
+    return law.c_v * np.log(np.asarray(theta, dtype=float)) - thermal_pressure_potential(law, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +548,12 @@ def _cumulative_weighted(fn, queries, n=32769):
 
 
 def renormalized_heat_content(law: ConstitutiveLaw, ren: Renormalizer, theta):
-    """Q_h(theta) = int_0^theta c_v(s) h(s) ds."""
+    """Q_h(theta) = int_0^theta c_v h(s) ds."""
     t = np.asarray(theta, dtype=float)
     w = ren.omega
     if abs(w - 1.0) < 1e-14:
-        return law.c_v.c * np.log1p(t)
-    return law.c_v.c * (np.power(1.0 + t, 1.0 - w) - 1.0) / (1.0 - w)
+        return law.c_v * np.log1p(t)
+    return law.c_v * (np.power(1.0 + t, 1.0 - w) - 1.0) / (1.0 - w)
 
 
 def renormalized_conductivity_potential(law: ConstitutiveLaw, ren: Renormalizer, theta):
@@ -677,7 +646,7 @@ def temperature_from_heat(law: ConstitutiveLaw, w):
         raise ValueError(
             f"heat content must be nonnegative, min = {float(np.min(w)):.6g}"
         )
-    out = w / law.c_v.c
+    out = w / law.c_v
     return out if w.ndim else float(out)
 
 
@@ -828,8 +797,5 @@ def validate_hypotheses(law: ConstitutiveLaw) -> HypothesisReport:
         np.full_like(theta, b.lam_hi),
         checks,
     )
-    cvv = np.asarray(law.c_v(theta), dtype=float)
-    _sampled_check("cv_lower", "cv_lo <= c_v(theta)", theta, np.full_like(theta, b.cv_lo), cvv, checks)
-    _sampled_check("cv_upper", "c_v(theta) <= cv_hi", theta, cvv, np.full_like(theta, b.cv_hi), checks)
 
     return HypothesisReport(checks=checks)

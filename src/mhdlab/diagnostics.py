@@ -56,7 +56,6 @@ __all__ = [
     "DiagnosticsRecord",
     "record",
     "total_energy",
-    "apriori_norms",
     "write_records_csv",
     "read_records_csv",
     "energy_budget_check",
@@ -152,6 +151,8 @@ def _h1_norm(grid: Grid, f: np.ndarray, grad: np.ndarray) -> float:
 
 
 def _apriori_norms(grid: Grid, law: ConstitutiveLaw, state: State, du, dH) -> dict:
+    """The norm family tracked by the estimate ledger; du and dH are the
+    gradient tables of u and H."""
     rho, u, theta, H = state.rho, state.u, state.theta, state.H
     gamma, alpha = law.gamma, law.alpha
     mom = np.sqrt(np.sum((rho * u) ** 2, axis=0))
@@ -166,13 +167,6 @@ def _apriori_norms(grid: Grid, law: ConstitutiveLaw, state: State, du, dH) -> di
         "theta_ahalf_h1": _h1_norm(grid, theta_ahalf, gradient(grid, theta_ahalf)),
         "theta_lalpha1": grid.norm_lp(theta, alpha + 1.0),
     }
-
-
-def apriori_norms(grid: Grid, law: ConstitutiveLaw, state: State) -> dict:
-    """The norm family tracked by the estimate ledger."""
-    du = vector_gradient(grid, state.u)
-    dH = vector_gradient(grid, state.H)
-    return _apriori_norms(grid, law, state, du, dH)
 
 
 def record(
@@ -535,9 +529,6 @@ class WeakResidualReport:
     residuals: tuple  # (name, value) pairs
     min_residual: float
     worst_name: str
-
-    def as_dict(self):
-        return dict(self.residuals)
 
 
 def thermal_weak_residual(

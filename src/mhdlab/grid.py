@@ -144,13 +144,6 @@ class Grid:
     def spacing_active(self) -> tuple[float, ...]:
         return tuple(self.spacing[a] for a in self.active_axes)
 
-    @cached_property
-    def volume(self) -> float:
-        v = 1.0
-        for a in self.active_axes:
-            v *= self.extents[a]
-        return v
-
     def coords(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
         if n == 1:

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 BLOCKS = ("rho", "u", "theta", "H")
-# order of the values returned by ManufacturedCase.sources
+# order of the values returned by ManufacturedCase.source_terms
 SOURCE_KEYS = ("rho", "m1", "m2", "m3", "w", "H1", "H2", "H3")
 # stage times evaluated together once the requests advance by a fixed step
 SOURCE_BLOCK = 16
@@ -67,7 +67,7 @@ def _family_scalars(law: ConstitutiveLaw) -> dict:
         "mu0": float(law.mu(1.0)),
         "lam0": float(law.lam(1.0)),
         "kappa0": float(law.kappa(0.0)),
-        "cv0": float(law.c_v(1.0)),
+        "cv0": law.c_v,
     }
 
     def bad(name, got, want):
@@ -95,9 +95,9 @@ def _family_scalars(law: ConstitutiveLaw) -> dict:
 
 @dataclass
 class ManufacturedCase:
-    """Closed-form exact fields, conserved-variable rates and sources.
+    """Closed-form exact fields and sources.
 
-    fields and rates map a name to a function of (x, t).  source_terms is
+    fields maps a name to a function of (x, t).  source_terms is
     one function of (trig, t), trig being _trig_table(x), that returns the
     eight sources in SOURCE_KEYS order; t is a float, or an array of times
     whose trailing axes broadcast against x, which adds a leading time axis
@@ -107,12 +107,7 @@ class ManufacturedCase:
     law: ConstitutiveLaw
     params: SchemeParams
     fields: dict
-    rates: dict
     source_terms: Callable
-
-    def sources(self, x, t):
-        """The eight sources at (x, t), in SOURCE_KEYS order."""
-        return self.source_terms(_trig_table(x), t)
 
     def _eval(self, fn, xs, t):
         out = np.asarray(fn(xs, float(t)), dtype=float)
@@ -129,14 +124,6 @@ class ManufacturedCase:
             F[:, 0] = 0.0
             F[:, -1] = 0.0
         return State(grid, rho, u, theta, H, float(t))
-
-    def exact_time_derivatives(self, grid: Grid, t: float):
-        xs = grid.mesh()[0]
-        drho = self._eval(self.rates["rho"], xs, t)
-        dm = np.stack([self._eval(self.rates[f"m{i}"], xs, t) for i in (1, 2, 3)])
-        dw = self._eval(self.rates["w"], xs, t)
-        dH = np.stack([self._eval(self.rates[f"H{i}"], xs, t) for i in (1, 2, 3)])
-        return drho, dm, dw, dH
 
     def source_callable(self, grid: Grid):
         """sources(t) -> (s_rho, s_m, s_w, s_H), read-only arrays on the grid.
@@ -270,18 +257,6 @@ def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> Manufa
     mu_long = 2.0 * mu0 + c["lam0"]
     g3 = gamma / 3.0
 
-    def rates(x, t):
-        j = _jets(_trig_table(x), t)
-        rho, _, _, rho_t = j["rho"]
-        theta, _, _, theta_t = j["theta"]
-        out = {"rho": rho_t, "w": cv0 * (rho_t * theta + (rho + delta) * theta_t)}
-        for i in ("1", "2", "3"):
-            ui, _, _, ui_t = j["u" + i]
-            out["m" + i] = rho_t * ui + rho * ui_t
-        out["H1"] = 0.0
-        out["H2"], out["H3"] = j["H2"][3], j["H3"][3]
-        return out
-
     def source_terms(trig, t):
         j = _jets(trig, t)
         rho, rho_x, rho_xx, rho_t = j["rho"]
@@ -349,14 +324,10 @@ def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> Manufa
             return lambda x, t: 0.0
         return lambda x, t: _jets(_trig_table(x), t)[name][0]
 
-    def rate(name):
-        return lambda x, t: rates(x, t)[name]
-
     return ManufacturedCase(
         law=law,
         params=params,
         fields={k: field(k) for k in ("rho", "theta", "u1", "u2", "u3", "H1", "H2", "H3")},
-        rates={k: rate(k) for k in ("rho", "w", "m1", "m2", "m3", "H1", "H2", "H3")},
         source_terms=source_terms,
     )
 
@@ -367,9 +338,6 @@ class ConvergenceReport:
     resolutions: tuple
     errors: dict
     orders: dict
-
-    def worst_final_order(self) -> float:
-        return min(v[-1] for v in self.orders.values())
 
 
 def _block_errors(grid: Grid, state: State, exact: State) -> dict:

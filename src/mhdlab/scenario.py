@@ -30,6 +30,7 @@ from __future__ import annotations
 import configparser
 import csv
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -228,11 +229,16 @@ def load_scenario(path, overrides=()) -> Scenario:
     for key in ("record_every", "max_steps"):
         if values[("output", key)] < 1:
             raise ConfigError(f"output.{key} must be >= 1, got {values[('output', key)]}")
-    # an inf or nan law constant or scheme weight passes the range checks
-    # below and overflows in the first step
+    # an inf or nan passes the range checks below: a law constant or scheme
+    # weight overflows in the first step, an initial amplitude in the first
+    # check of the state, and a nan snapshot time is never reached
     for (section, key), value in values.items():
-        if section in ("law", "scheme") and isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{section}.{key} must be finite, got {value}")
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{section}.{key} must be finite, got {' '.join(map(str, numbers))}")
+    prefix = values[("output", "prefix")]
+    if prefix in ("", ".", "..") or "/" in prefix or os.sep in prefix:
+        raise ConfigError(f"output.prefix must be a plain file name, got {prefix!r}")
     try:
         grid = Grid(shape=values[("grid", "shape")], extents=values[("grid", "extents")])
         law = make_standard_law(
@@ -302,7 +308,7 @@ def load_scenario(path, overrides=()) -> Scenario:
         ),
         record_every=values[("output", "record_every")],
         snapshot_times=values[("output", "snapshot_times")],
-        prefix=values[("output", "prefix")],
+        prefix=prefix,
         max_steps=values[("output", "max_steps")],
         sweep=sweep,
         resolved=resolved,
@@ -458,6 +464,11 @@ def sweep_scenarios(config_path, outdir, *, threads: int = 1, overrides=()) -> l
         )
         jobs.append((str(config_path), job_overrides, str(outdir / tag), value))
 
+    # every member's config and initial data are checked before the first
+    # job runs, so a sweep that any of them fails leaves no directory behind
+    for job_config, job_overrides, _, _ in jobs:
+        member = load_scenario(job_config, job_overrides)
+        mollify_initial_data(member.grid, member.law, member.params, *initial_fields(member))
     outdir.mkdir(parents=True, exist_ok=True)
     if threads <= 1:
         results = [_sweep_worker(job) for job in jobs]

@@ -45,10 +45,11 @@ its steps: fieldops.d1_steps or d2_steps, looked up in fieldops when the
 program compiles, emit the numpy calls of that d1 or d2 bound to the
 program's buffers.  The law enters it the same way: value_steps and
 integral_steps of constitutive emit the calls of the closed form of a
-Const, Power or Sum piece (mu, lam, p_e, p_th, and c_v and kappa for Q and
-K), the steps the law's own functions make at once.  A Const coefficient
-is its float; a piece with no closed form, a Tabulated mu or lam, stays
-one call of its own function, copied into a buffer.  Each distinct power
+Const, Power or Sum piece (mu, lam, p_e, p_th, and kappa for K), the steps
+the law's own functions make at once, and Q(theta) = c_v theta is one
+multiply by the law's float c_v.  A Const coefficient is its float; a
+piece with no closed form, a Tabulated mu or lam, stays one call of its
+own function, copied into a buffer.  Each distinct power
 (operand, exponent) is taken once, so one theta^(alpha+1) serves K and the
 delta-sink.  A replay therefore calls neither fieldops.d1 nor d2 nor into
 constitutive, and a wrapper of a step builder sees each stencil once per
@@ -161,9 +162,6 @@ class IncidentLog:
 
     velocity_clamp_nodes: int = 0
     heat_floor_nodes: int = 0
-
-    def total(self) -> int:
-        return self.velocity_clamp_nodes + self.heat_floor_nodes
 
 
 @dataclass
@@ -397,7 +395,8 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     lam = None if _is_zero_coeff(law.lam) else value_steps(law.lam, theta, b)
     rho_u = buf(3)
     emit(np.multiply, rho, u, rho_u)
-    q = integral_steps(law.c_v, theta, b)  # Q(theta)
+    q = buf()
+    emit(np.multiply, theta, law.c_v, q)  # Q(theta)
     rho_q = buf()
     emit(np.multiply, rho, q, rho_q)
     # theta p_th(rho): in the pressure and in the thermal block
@@ -625,7 +624,7 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     return SimpleNamespace(
         calls=calls, rho=rho, u=u, theta=theta, H=H, out=out, x0=x0, x1=x1, k1=k1, k2=k2,
         load_x0=load_x0, zero_x1_walls=wall_reset(x1), zero_k2_walls=wall_reset(k2),
-        finite=np.empty((8,) + shape, bool), delta=np.asarray(delta), c_v=np.asarray(law.c_v.c),
+        finite=np.empty((8,) + shape, bool), delta=np.asarray(delta), c_v=np.asarray(law.c_v),
         u_sq=buf(3), speed_sq=buf(), theta_max=theta_max, kappa_calls=kappa_calls,
         kappa_max=kappa_max, h=min(grid.spacing_active), d=len(axes),
         projector=DivFreeProjector(grid),

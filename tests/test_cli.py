@@ -107,6 +107,14 @@ def test_run_rejects_what_the_scheme_cannot_run(tmp_path, capsys, override):
         ("scheme.t_end=inf", "scheme.t_end must be finite, got inf"),
         ("initial.rho_amplitude=2", "initial density must be non-negative"),
         ("initial.theta_amplitude=-2", "initial temperature must be strictly positive"),
+        ("initial.velocity_amplitude=inf", "initial.velocity_amplitude must be finite, got inf"),
+        ("initial.field_amplitude=nan", "initial.field_amplitude must be finite, got nan"),
+        ("initial.rho_amplitude=nan", "initial.rho_amplitude must be finite, got nan"),
+        ("output.snapshot_times=0.005 nan", "output.snapshot_times must be finite, got 0.005 nan"),
+        ("output.prefix=a/b", "output.prefix must be a plain file name, got 'a/b'"),
+        ("output.prefix=", "output.prefix must be a plain file name, got ''"),
+        ("output.prefix=.", "output.prefix must be a plain file name, got '.'"),
+        ("output.prefix=..", "output.prefix must be a plain file name, got '..'"),
     ],
 )
 def test_run_rejects_empty_grids_non_finite_constants_and_bad_initial_data(
@@ -117,6 +125,28 @@ def test_run_rejects_empty_grids_non_finite_constants_and_bad_initial_data(
     out = tmp_path / "out"
     args = ["run", "--config", str(CONFIGS / "sweep_delta.ini"), "--out", str(out)]
     for o in ("grid.shape=9 9 1", "scheme.t_end=0.01", override):
+        args += ["--override", o]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "parameter, values, message",
+    [
+        ("initial.rho_amplitude", "2 0.1", "initial density must be non-negative"),
+        ("initial.rho_amplitude", "0.1 2", "initial density must be non-negative"),
+        ("scheme.delta", "0.1 1.5", "delta must lie in (0,1), got 1.5"),
+    ],
+    ids=["first-member-initial-data", "last-member-initial-data", "last-member-config"],
+)
+def test_rejected_sweep_leaves_no_out_directory(tmp_path, capsys, parameter, values, message):
+    # every member is checked before the first job runs
+    out = tmp_path / "out"
+    args = ["sweep", "--config", str(CONFIGS / "sweep_delta.ini"), "--out", str(out)]
+    overrides = ("grid.shape=9 9 1", "scheme.t_end=0.01", f"sweep.parameter={parameter}")
+    for o in overrides + (f"sweep.values={values}",):
         args += ["--override", o]
     assert main(args) == 2
     err = capsys.readouterr().err

@@ -5,11 +5,13 @@ antiderivatives are worked out by hand and frozen as literals, with the
 defining integral noted next to each.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mhdlab import constitutive
 from mhdlab.constitutive import (
     Const,
     Power,
@@ -20,10 +22,8 @@ from mhdlab.constitutive import (
     elastic_potential,
     entropy,
     heat_content,
-    internal_energy,
     conductivity_potential,
     make_standard_law,
-    maxwell_residual,
     pressure,
     renormalized_conductivity_potential,
     renormalized_heat_content,
@@ -38,6 +38,25 @@ GAMMA = 5.0 / 3.0
 @pytest.fixture
 def law():
     return make_standard_law(gamma=GAMMA, alpha=3.0, nu=1.0)
+
+
+def internal_energy(law, rho, theta):
+    """e(rho,theta) = P_e(rho) + Q(theta)."""
+    return elastic_potential(law, rho) + heat_content(law, theta)
+
+
+def maxwell_residual(law, rho: float, theta: float, step: float = 1e-5):
+    """Finite-difference check of the thermodynamic compatibility relation.
+
+    Returns d e/d rho (central difference) minus (p - theta dp/dtheta)/rho^2;
+    for the additive closure the second factor reduces to p_e(rho)/rho^2, so
+    the residual is pure discretization error, O(step^2).
+    """
+    de = (
+        internal_energy(law, rho + step, theta)
+        - internal_energy(law, rho - step, theta)
+    ) / (2.0 * step)
+    return float(de - law.p_e(rho) / rho**2)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +103,18 @@ def test_heat_content_and_conductivity_potential(law):
     np.testing.assert_allclose(
         conductivity_potential(law, theta), theta + theta**4 / 4.0, rtol=1e-12, atol=1e-14
     )
+
+
+def test_specific_heat_is_a_float():
+    # c_v is constant in the scheme: Q = c_v theta and the c_v part of the
+    # entropy, c_v log(theta), take the float as it is
+    law = make_standard_law(cv0=3)
+    assert type(law.c_v) is float and law.c_v == 3.0
+    theta = np.array([0.0, 0.3, 1.7, 40.0])
+    assert heat_content(law, theta).tobytes() == np.multiply(theta, 3.0).tobytes()
+    assert entropy(law, 1.0, theta[1:]).tobytes() == (3.0 * np.log(theta[1:])).tobytes()
+    with pytest.raises(TypeError, match="c_v must be a float"):
+        dataclasses.replace(law, c_v=Const(3.0))
 
 
 def test_pressure_and_internal_energy(law):
@@ -396,6 +427,28 @@ def test_primitive_forms_and_derivatives():
     t = Tabulated(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 2.5]))
     assert t(0.5) == pytest.approx(1.5)
     assert t(-1.0) == 1.0 and t(3.0) == 2.5  # flat beyond the ends
+
+
+def test_viscosity_without_a_range_is_refused():
+    # the viscosity bounds are the range of a constant or a table; the error
+    # names the piece passed
+    named = r"no closed-form range for Sum\(Const\(0.1\), Power\(0.1, 1.0\)\)"
+    with pytest.raises(TypeError, match=named):
+        make_standard_law(mu=Sum(Const(0.1), Power(0.1, 1.0)))
+
+
+def test_python_3_10_fallback_makes_the_same_steps(monkeypatch):
+    # Python 3.10 has no operator.call; the eager builder then makes each
+    # step by constitutive._call, to the same bits
+    law = make_standard_law()
+    theta = np.linspace(0.1, 3.0, 7)
+
+    def evaluated():
+        return [law.kappa(theta).tobytes(), conductivity_potential(law, theta).tobytes()]
+
+    want = evaluated()
+    monkeypatch.setattr(constitutive._Eager, "emit", staticmethod(constitutive._call))
+    assert evaluated() == want
 
 
 def test_tabulated_potentials_have_no_closed_form():

@@ -23,6 +23,8 @@ from mhdlab.mms import (
     SOURCE_BLOCK,
     SOURCE_KEYS,
     ManufacturedCase,
+    _jets,
+    _trig_table,
     make_manufactured_case,
     spatial_convergence_study,
     temporal_convergence_study,
@@ -48,6 +50,29 @@ def _grid(cells):
 @pytest.fixture(scope="module")
 def case():
     return make_manufactured_case(LAW, PARAMS)
+
+
+def _rates(case, x, t):
+    """The time derivatives of the conserved variables of the exact fields
+    at (x, t), by name, from the profiles' jets."""
+    j = _jets(_trig_table(x), t)
+    rho, _, _, rho_t = j["rho"]
+    theta, _, _, theta_t = j["theta"]
+    out = {"rho": rho_t, "w": case.law.c_v * (rho_t * theta + (rho + case.params.delta) * theta_t)}
+    for i in ("1", "2", "3"):
+        ui, _, _, ui_t = j["u" + i]
+        out["m" + i] = rho_t * ui + rho * ui_t
+    out["H1"] = 0.0
+    out["H2"], out["H3"] = j["H2"][3], j["H3"][3]
+    return out
+
+
+def _exact_time_derivatives(case, grid, t):
+    """(d rho, d m, d w, d H)/dt of the exact fields on the grid's nodes."""
+    xs = grid.mesh()[0]
+    r = {k: np.broadcast_to(v, xs.shape) for k, v in _rates(case, xs, float(t)).items()}
+    dm, dH = (np.stack([r[f"{block}{i}"] for i in "123"]) for block in "mH")
+    return r["rho"], dm, r["w"], dH
 
 
 def _symbolic_case(kw, params):
@@ -154,9 +179,9 @@ def test_closed_form_matches_symbolic_derivation(kw, params):
         return np.broadcast_to(np.asarray(fn(xs, t), dtype=float), xs.shape)
 
     for t in (0.0, 0.37, 1.25):
-        got = dict(zip(SOURCE_KEYS, case.sources(xs, t), strict=True))
+        got = dict(zip(SOURCE_KEYS, case.source_terms(_trig_table(xs), t), strict=True))
         pairs = [(case.fields[k], fields[k], f"field {k}") for k in fields]
-        pairs += [(case.rates[k], rates[k], f"rate {k}") for k in rates]
+        pairs += [(lambda x, t, k=k: _rates(case, x, t)[k], rates[k], f"rate {k}") for k in rates]
         pairs += [(lambda x, t, k=k: got[k], sources[k], f"source {k}") for k in sources]
         assert len(pairs) == 24
         for closed, symbolic, what in pairs:
@@ -185,7 +210,7 @@ def test_source_consistency_second_order(case):
         st = case.exact_state(grid, t)
         src = case.source_callable(grid)
         got = rhs(grid, LAW, PARAMS, st.rho, st.u, st.theta, st.H, t=t, sources=src)
-        want = case.exact_time_derivatives(grid, t)
+        want = _exact_time_derivatives(case, grid, t)
         worst = 0.0
         for g, w in zip(got, want):
             # walls excluded: the stepper re-imposes them exactly
@@ -209,7 +234,6 @@ def test_spatial_smoke_orders(case):
         assert len(rep.errors[block]) == 2
         assert rep.errors[block][1] < rep.errors[block][0]
         assert rep.orders[block][-1] >= 1.5
-    assert rep.worst_final_order() >= 1.5
 
 
 def test_temporal_smoke_orders(case):
@@ -219,7 +243,6 @@ def test_temporal_smoke_orders(case):
     assert len(rep.resolutions) == 2  # the dts actually compared
     for block in BLOCKS:
         assert rep.orders[block][-1] >= 1.7
-    assert rep.worst_final_order() >= 1.7
 
 
 def test_study_is_deterministic():
@@ -296,7 +319,8 @@ def test_sources_of_a_changing_step_are_evaluated_one_by_one():
 def _assert_rows_are_direct_evaluations(case, served):
     for (grid, t), got in served.items():
         xs = grid.mesh()[0]
-        v = [np.broadcast_to(np.asarray(s, dtype=float), xs.shape) for s in case.sources(xs, t)]
+        sources = case.source_terms(_trig_table(xs), t)
+        v = [np.broadcast_to(np.asarray(s, dtype=float), xs.shape) for s in sources]
         want = (v[0], np.stack(v[1:4]), v[4], np.stack(v[5:8]))
         for g, w in zip(got, want, strict=True):
             assert g.shape == w.shape
@@ -346,7 +370,8 @@ def test_source_arrays_match_broadcast_reference(case):
     xs = grid.mesh()[0]
     src = case.source_callable(grid)
     for t in (0.0, 0.37, 1.25):
-        v = [np.broadcast_to(np.asarray(s, dtype=float), xs.shape) for s in case.sources(xs, t)]
+        sources = case.source_terms(_trig_table(xs), t)
+        v = [np.broadcast_to(np.asarray(s, dtype=float), xs.shape) for s in sources]
         want = (v[0], np.stack(v[1:4]), v[4], np.stack(v[5:8]))
         for got, ref in zip(src(t), want):
             assert got.shape == ref.shape

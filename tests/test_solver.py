@@ -713,7 +713,7 @@ def test_uniform_state_matches_sink_ode():
     assert np.max(np.abs(res.final_state.u)) <= 1e-12
     assert np.max(np.abs(res.final_state.H)) <= 1e-12
     assert res.steps == 1000
-    assert res.incidents.total() == 0
+    assert res.incidents.velocity_clamp_nodes + res.incidents.heat_floor_nodes == 0
 
 
 def test_uniform_state_single_step_order():
@@ -916,7 +916,7 @@ def test_run_frees_its_scratch_on_return_and_on_failure():
 
 def test_incident_log_totals():
     log = IncidentLog()
-    assert log.total() == 0
+    assert log.velocity_clamp_nodes + log.heat_floor_nodes == 0
     log.velocity_clamp_nodes += 3
     log.heat_floor_nodes += 2
-    assert log.total() == 5
+    assert log.velocity_clamp_nodes + log.heat_floor_nodes == 5
