@@ -62,6 +62,7 @@ __all__ = [
     "conductivity_potential",
     "value_steps",
     "integral_steps",
+    "power_terms",
     "renormalized_heat_content",
     "renormalized_conductivity_potential",
     "entropy",
@@ -412,6 +413,18 @@ def _antideriv_over_sq(prim, rho):
         return prim.coef * (np.power(rho, e) - 1.0) / e
     if isinstance(prim, Sum):
         return sum(_antideriv_over_sq(t, rho) for t in prim.terms)
+    raise TypeError(f"no closed form for {prim!r}")
+
+
+def power_terms(prim) -> tuple:
+    """prim as a sum of monomials: ((coef, expo), ...) for a constant,
+    power or sum; TypeError for any other piece."""
+    if isinstance(prim, Const):
+        return ((prim.c, 0.0),)
+    if isinstance(prim, Power):
+        return ((prim.coef, prim.expo),)
+    if isinstance(prim, Sum):
+        return tuple(term for t in prim.terms for term in power_terms(t))
     raise TypeError(f"no closed form for {prim!r}")
 
 

@@ -8,7 +8,10 @@ with a two-stage Runge-Kutta step (Heun).  Every spatial term is assembled
 from the parity-aware stencils in fieldops, so the no-slip / perfectly
 conducting / insulating wall conditions are encoded in the ghost handling
 and re-imposed exactly after each stage.  H is re-projected divergence-free
-after every full step.
+after every full step.  run steps at safety times the smallest entry of the
+state's StepLimits (stable_dt): one for each diffusive term, its largest
+node-wise coefficient against the spectral radius of its stencil, one for
+the fast magnetosonic waves and one for the delta-sink.
 
 rhs is assembled in two stacked stencil phases, each a stack of operands
 that share a parity per fieldops.d1 call.  Phase 1 makes one ODD and one
@@ -66,10 +69,12 @@ fill per active axis.  step builds the conserved tuple after the first
 replay, from that replay's inputs and its rho u and Q(theta), and recovers
 the stage-1 primitives straight into the program's input buffers, so the
 second rhs copies none of them; the stage-2 primitives go to new arrays,
-which the returned State owns.  _recover and stable_dt read their minima
-and maxima by ufunc reductions into the program's scratch, and stable_dt
-takes kappa(theta_max) by kappa's steps on a 0-d buffer of the program, so
-a step calls into constitutive neither.  The program holds the grid's
+which the returned State owns.  _recover reads its minima by ufunc
+reductions.  The program holds that of step_limits too (_compile_limits):
+step_limits writes the state's rows into its scratch, steps bound there
+build the node-wise coefficients from the law's value_steps, and one
+reduction takes every maximum, so neither a step nor its limit calls into
+constitutive.  The program holds the grid's
 divergence projector too, which step and mollify_initial_data take from
 it: a run and the mollification of its initial data share one build, and
 two threads on their own grids build one each.
@@ -88,11 +93,12 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fieldops
-from .constitutive import ConstitutiveLaw, integral_steps, value_steps
+from .constitutive import ConstitutiveLaw, _fold, integral_steps, power_terms, value_steps
 from .errors import ConfigError, InvariantViolation, NumericalAbort
 from .fieldops import EVEN, ODD, _is_zero_coeff
 from .grid import Grid
@@ -105,6 +111,8 @@ __all__ = [
     "MollificationReport",
     "mollify_initial_data",
     "rhs",
+    "StepLimits",
+    "step_limits",
     "stable_dt",
     "step",
     "run",
@@ -273,7 +281,7 @@ _WALLED = slice(2, 8)
 _BLOCKS = (("mass", _RHO), ("momentum", _M), ("thermal", _W), ("magnetic", _H))
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # ufunc reductions, which have no Python-level wrapper as ndarray.min has
-_min, _max, _all = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
+_min, _all = np.minimum.reduce, np.logical_and.reduce
 
 
 class _Slot(threading.local):
@@ -612,22 +620,78 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     emit0(np.multiply, x0[_W], q, x0[_W])
     emit0(np.copyto, x0[_H], H)
 
+    def blocks(x):  # the views rho, m, w and H of a stack
+        return x[_RHO], x[_M], x[_W], x[_H]
+
     def wall_reset(x):
         # one fill per active axis, on a view of both walls of the walled rows
         rows = x[_WALLED]
         return [partial(rows.reshape(ax.lines)[ax.walls].fill, 0.0) for ax in grid.stencil_axes if ax]
 
-    # stable_dt's scratch, and kappa at the 0-d theta_max by its steps
-    kappa_calls = []
-    theta_max = np.zeros(())
-    kappa_max = value_steps(law.kappa, theta_max, _builder(kappa_calls, ()))
     return SimpleNamespace(
         calls=calls, rho=rho, u=u, theta=theta, H=H, out=out, x0=x0, x1=x1, k1=k1, k2=k2,
         load_x0=load_x0, zero_x1_walls=wall_reset(x1), zero_k2_walls=wall_reset(k2),
-        finite=np.empty((8,) + shape, bool), delta=np.asarray(delta), c_v=np.asarray(law.c_v),
-        u_sq=buf(3), speed_sq=buf(), theta_max=theta_max, kappa_calls=kappa_calls,
-        kappa_max=kappa_max, h=min(grid.spacing_active), d=len(axes),
-        projector=DivFreeProjector(grid),
+        x1_blocks=blocks(x1), x2_blocks=blocks(k2), finite=np.empty((8,) + shape, bool),
+        delta=np.asarray(delta), rho_floor=0.5 * delta, c_v=np.asarray(law.c_v),
+        limits=_compile_limits(grid, law, params), projector=DivFreeProjector(grid),
+    )
+
+
+def _compile_limits(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> SimpleNamespace:
+    """The program of step_limits: its scratch, its steps and its constants.
+
+    step_limits writes the rows of `rows` that come from the state: the
+    squares of the components of u and H, -rho, rho + delta and theta.
+    The steps, on flat rows, build each node-wise coefficient that is an
+    array into one more row and take the maxima of all rows in one
+    reduction.  A coefficient that is a float has no row: its maximum is
+    read from min rho.
+    """
+    calls = []
+    size = math.prod(grid.shape)
+    b = _builder(calls, (size,))
+    emit, pow_steps = b.emit, b.power
+
+    def power(x, e):
+        # a whole power up to the fourth by products, which are several
+        # times faster than pow; no bit of the limits has to match rhs
+        if e not in (2.0, 3.0, 4.0):
+            return pow_steps(x, e)
+        out = b.buf()
+        emit(np.multiply, x, x, out)
+        for _ in range(int(e) - 2):
+            emit(np.multiply, out, x, out)
+        return out
+
+    b.power = power
+    rows = np.zeros((11,) + grid.shape)
+    flat = rows.reshape(11, size)
+    neg_rho, rho_delta, theta = flat[6], flat[7], flat[8]
+    n_rows = 9
+    # kappa(theta)/(rho + delta)
+    kappa_c = value_steps(law.kappa, theta, b)
+    if not isinstance(kappa_c, float):
+        emit(np.divide, kappa_c, rho_delta, flat[n_rows])
+        kappa_c, n_rows = None, n_rows + 1
+    # (2 mu(theta) + lam(theta))/rho, in the last row
+    mu = value_steps(law.mu, theta, b)
+    lam = [] if _is_zero_coeff(law.lam) else [value_steps(law.lam, theta, b)]
+    visc_c = _fold([mu, mu] + lam, b)
+    if not isinstance(visc_c, float):
+        emit(np.divide, visc_c, neg_rho, flat[n_rows])
+        emit(np.negative, flat[n_rows], flat[n_rows])
+        visc_c, n_rows = None, n_rows + 1
+    row_max = np.empty(n_rows)
+    emit(np.maximum.reduce, flat[:n_rows], 1, None, row_max)
+
+    inv_h2 = sum(h**-2 for h in grid.spacing_active)
+    return SimpleNamespace(
+        calls=calls, u_squares=rows[0:3], H_squares=rows[3:6], neg_rho=rows[6],
+        rho_delta=rows[7], theta=rows[8], row_max=row_max, delta=np.asarray(params.delta),
+        kappa_c=kappa_c, visc_c=visc_c, sound_sq=_sound_speed_sq(law, params),
+        h=min(grid.spacing_active), eps=0.5 / (inv_h2 * params.epsilon),
+        nu=2.0 / (inv_h2 * law.nu), kappa_scale=0.5 * law.c_v / inv_h2,
+        visc_scale=2.0 / inv_h2, sink_scale=law.c_v / (params.delta * (law.alpha + 1.0)),
     )
 
 
@@ -680,43 +744,120 @@ def rhs(
 # ---------------------------------------------------------------------------
 
 
-def stable_dt(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: State) -> float:
-    """safety * min(advective, diffusive, sink) step limits.
+class StepLimits(NamedTuple):
+    """The largest dt that each term of the scheme allows a Heun step from
+    one state, before the safety factor; stable_dt is safety * min of them.
 
-    Diffusive coefficients considered: eps, nu, mu_hi/rho_min and
-    kappa(theta_max)/((rho_min+delta) cv_lo); the sink limit keeps the
-    explicit theta update in the contraction region of the delta-sink.
+    A diffusive entry is 2 / (c r): 2 ends Heun's stable interval on the
+    negative real axis, c is the term's largest node-wise coefficient and r
+    the spectral radius of its stencil, summed over the active axes: 4/h_j^2
+    for the compact d2 of eps (c = eps) and kappa (c = kappa(theta)/((rho +
+    delta) c_v)), 1/h_j^2 for the d1 of d1 of the viscous stress (c = (2
+    mu(theta) + lam(theta))/rho) and of curl curl (c = nu).  wave is h /
+    max(|u| + c_f) on the finest spacing h, with c_f^2 = c^2 + |H|^2/rho,
+    bounded above from maxima over the nodes (see _sound_speed_sq; the sums
+    of the largest squares of the components bound |u|^2 and |H|^2).  It has
+    no constant in front: Heun has no stable interval on the imaginary axis,
+    and the oracle of tests/test_step_limit_oracle.py bounds the growth this
+    allows.  sink keeps the explicit theta update in the contraction region
+    of the delta-sink.  An entry whose term vanishes is inf.
     """
-    program = _program(grid, law, params)
-    h, d = program.h, program.d
-    # max |u|^2, min rho and max theta by ufunc reductions into the
-    # program's scratch; the sum adds the rows in order, as .sum(axis=0)
-    np.multiply(state.u, state.u, program.u_sq)
-    np.add.reduce(program.u_sq, 0, None, program.speed_sq)
-    speed = float(_max(program.speed_sq, None)) ** 0.5
-    rho_min = float(_min(state.rho, None))
-    theta_max = float(_max(state.theta, None, None, program.theta_max))
+
+    eps: float
+    kappa: float
+    momentum: float
+    nu: float
+    wave: float
+    sink: float
+
+    @property
+    def binding(self) -> str:
+        """The name of the smallest entry."""
+        return self._fields[self.index(min(self))]
+
+
+def _sound_speed_sq(law: ConstitutiveLaw, params: SchemeParams):
+    """A function (rho_min, rho_max, theta_max) -> an upper bound of c^2
+    over rho in [rho_min, rho_max] and 0 < theta <= theta_max.
+
+    c^2 is dp/drho at constant entropy s = c_v log(theta) - P_th(rho) of
+    p = p_e + theta p_th + delta rho^beta, along which dtheta/drho =
+    theta p_th/(c_v rho^2):
+
+        c^2 = p_e' + delta beta rho^(beta-1) + theta (p_th' + p_th^2/(c_v rho^2)).
+
+    In the monomials of p_e and p_th each term is monotone in rho, so the
+    bound adds each term's value at rho_min or rho_max, whichever is larger.
+    A law whose p_e or p_th has no closed form compiles, for rhs, but its
+    step limits raise TypeError.
+    """
+    try:
+        p_e, p_th = power_terms(law.p_e), power_terms(law.p_th)
+    except TypeError as exc:
+        reason = str(exc)
+
+        def refuse(rho_min, rho_max, theta_max):
+            raise TypeError(f"no sound speed bound: {reason}")
+
+        return refuse
+    beta = params.beta
+    cold = [(c * e, e - 1.0) for c, e in p_e if e] + [(params.delta * beta, beta - 1.0)]
+    hot = [(c * e, e - 1.0) for c, e in p_th if e]
+    hot += [(ci * cj / law.c_v, ei + ej - 2.0) for ci, ei in p_th for cj, ej in p_th]
+    # (coefficient, exponent, whether the term grows with rho)
+    cold = [(c, e, c * e >= 0.0) for c, e in cold]
+    hot = [(c, e, c * e >= 0.0) for c, e in hot]
+
+    def sound_sq(rho_min, rho_max, theta_max):
+        a = b = 0.0
+        for c, e, grows in cold:
+            a += c * (rho_max if grows else rho_min) ** e
+        for c, e, grows in hot:
+            b += c * (rho_max if grows else rho_min) ** e
+        return a + theta_max * b if b > 0.0 else a
+
+    return sound_sq
+
+
+def step_limits(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: State) -> StepLimits:
+    """The StepLimits of state.
+
+    Every maximum over the nodes comes from one reduction in the compiled
+    program: this fills the squares of u and H and the rho and theta rows of
+    its scratch from the state, and the program's steps make the rest.
+    """
+    p = _program(grid, law, params).limits
+    np.multiply(state.u, state.u, p.u_squares)
+    np.multiply(state.H, state.H, p.H_squares)
+    np.negative(state.rho, p.neg_rho)
+    np.add(state.rho, p.delta, p.rho_delta)
+    np.copyto(p.theta, state.theta)
+    for call in p.calls:
+        call()
+    m = p.row_max.tolist()
+    rho_min = -m[6]
     if not rho_min > 0.0:
         raise InvariantViolation(f"density positivity lost: min rho = {rho_min:.6g}")
-    cv_lo = law.bounds.cv_lo
-    for call in program.kappa_calls:
-        call()
-    kappa_max = float(program.kappa_max)
-    diff = max(
-        params.epsilon,
-        law.nu,
-        law.bounds.mu_hi / rho_min,
-        kappa_max / ((rho_min + params.delta) * cv_lo),
+    delta, theta_max = params.delta, m[8]
+    kappa = m[9] if p.kappa_c is None else p.kappa_c / (rho_min + delta)
+    visc = m[-1] if p.visc_c is None else p.visc_c / rho_min
+    c_sq = p.sound_sq(rho_min, m[7] - delta, theta_max)
+    speed = (m[0] + m[1] + m[2]) ** 0.5 + (c_sq + (m[3] + m[4] + m[5]) / rho_min) ** 0.5
+    theta_a = theta_max**law.alpha
+    return StepLimits(
+        p.eps,
+        p.kappa_scale / kappa if kappa > 0.0 else math.inf,
+        p.visc_scale / visc if visc > 0.0 else math.inf,
+        p.nu,
+        p.h / speed if speed > 0.0 else math.inf,
+        (rho_min + delta) * p.sink_scale / theta_a if theta_a > 0.0 else math.inf,
     )
-    limits = [h * h / (2.0 * d * diff)]
-    if speed > 0.0:
-        limits.append(h / speed)
-    if theta_max > 0.0:
-        limits.append(
-            ((rho_min + params.delta) * cv_lo)
-            / (params.delta * (law.alpha + 1.0) * theta_max**law.alpha)
-        )
-    return params.safety * min(limits)
+
+
+def stable_dt(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: State) -> float:
+    """The step that run takes at state, and the largest that step accepts:
+    safety * min of the state's StepLimits."""
+    return params.safety * min(step_limits(grid, law, params, state))
 
 
 # ---------------------------------------------------------------------------
@@ -724,16 +865,17 @@ def stable_dt(grid: Grid, law: ConstitutiveLaw, params: SchemeParams, state: Sta
 # ---------------------------------------------------------------------------
 
 
-def _recover(program, x, incidents: IncidentLog, stage: str, t: float, u, theta) -> None:
-    """The primitives u and theta of a conserved stack, written into u and
-    theta, with guarded division and floors."""
-    rho, m, w = x[_RHO], x[_M], x[_W]
+def _recover(program, blocks, incidents: IncidentLog, stage: str, t: float, u, theta) -> None:
+    """The primitives u and theta of the blocks (rho, m, w, H) of a
+    conserved stack, written into u and theta, with guarded division and
+    floors."""
+    rho, m, w, _ = blocks
     rho_min = float(_min(rho, None))
     if not rho_min > 0.0:
         raise InvariantViolation(
             f"density positivity lost ({stage}, t={t:.6g}): min rho = {rho_min:.6g}"
         )
-    floor = 0.5 * float(program.delta)
+    floor = program.rho_floor
     if rho_min < floor:
         incidents.velocity_clamp_nodes += int(np.count_nonzero(rho < floor))
         np.divide(m, np.maximum(rho, floor), u)
@@ -804,9 +946,10 @@ def step(
         call()
     _check_finite(x1, program.finite, t)
     # the stage-1 state goes straight into the program's inputs
-    _recover(program, x1, incidents, "stage 1", t, program.u, program.theta)
-    np.copyto(program.rho, x1[_RHO])
-    np.copyto(program.H, x1[_H])
+    rho1, _, _, H1 = blocks = program.x1_blocks
+    _recover(program, blocks, incidents, "stage 1", t, program.u, program.theta)
+    np.copyto(program.rho, rho1)
+    np.copyto(program.H, H1)
 
     t2 = t + dt
     rhs(grid, law, params, program.rho, program.u, program.theta, program.H, t=t2, sources=sources, out=k2)
@@ -817,10 +960,11 @@ def step(
     for call in program.zero_k2_walls:
         call()
     _check_finite(x2, program.finite, t2)
-    u2, th2 = np.empty(x2[_M].shape), np.empty(x2[_W].shape)
-    _recover(program, x2, incidents, "stage 2", t2, u2, th2)
+    rho2, m2, w2, H2 = blocks = program.x2_blocks
+    u2, th2 = np.empty(m2.shape), np.empty(w2.shape)
+    _recover(program, blocks, incidents, "stage 2", t2, u2, th2)
     # project returns a new array
-    return State(grid, x2[_RHO].copy(), u2, th2, program.projector.project(x2[_H]), t2)
+    return State(grid, rho2.copy(), u2, th2, program.projector.project(H2), t2)
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +1033,17 @@ def run(
 
     try:
         emit(0)
+        # a run that its first step limit cannot bring to T within the
+        # budget ends here, with its step-0 record
+        limits = step_limits(grid, law, params, state)
+        dt = params.safety * min(limits) if params.dt is None else params.dt
+        predicted = (T - state.t) / dt
+        if predicted > max_steps:
+            source = "fixed dt" if params.dt is not None else f"step limit ({limits.binding} binds)"
+            raise NumericalAbort(
+                f"step budget of {max_steps} steps falls short of t_end={T:.6g}: "
+                f"the first {source}, dt={dt:.6g}, predicts {predicted:.3g} steps"
+            )
         last_emitted = 0
         steps = 0
         t_stop = T - 1e-12 * max(abs(T), 1.0)

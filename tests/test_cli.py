@@ -1,6 +1,7 @@
 """Command line behavior: dispatch, outputs, exit codes."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from mhdlab.cli import main
+from mhdlab.diagnostics import read_records_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mhdlab"
@@ -197,6 +199,30 @@ def test_step_budget_exits_4(tmp_path, capsys):
     assert "numerical abort" in capsys.readouterr().err
     # partial evidence still on disk
     assert (out / "t-records.csv").is_file()
+
+
+def test_hopeless_run_ends_before_its_first_step(tmp_path, capsys):
+    # its first step limit predicts about 1e12 steps, against a budget of
+    # 2e6 that it would take half an hour to exhaust
+    out = tmp_path / "out"
+    overrides = ["law.kappa0=1e12", "grid.shape=9 9 1", "scheme.t_end=0.01"]
+    argv = ["run", "--config", str(CONFIGS / "sweep_delta.ini"), "--out", str(out)]
+    assert main(argv + [a for o in overrides for a in ("--override", o)]) == 4
+    err = capsys.readouterr().err
+    assert re.search(r"the first step limit \(kappa binds\), dt=\S+, predicts \d\.\de\+12 steps", err)
+    # the step-0 record is on disk
+    assert [r.t for r in read_records_csv(out / "sweep-records.csv")] == [0.0]
+
+
+def test_low_transport_corner_runs_to_its_end(tmp_path, capsys):
+    # the sound and Alfven speeds bind here; a limit that left them out
+    # ended this run with exit 3 at t = 1.56, thermal content gone negative
+    overrides = [
+        "law.mu0=0.005", "law.nu=0.005", "law.kappa0=0.005",
+        "scheme.epsilon=0.003125", "scheme.t_end=5",
+    ]
+    argv = ["run", "--config", str(CONFIGS / "sweep_delta.ini"), "--out", str(tmp_path / "out")]
+    assert main(argv + [a for o in overrides for a in ("--override", o)]) == 0
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -13,20 +13,23 @@ else (clamp bounds, stability limits) is frozen from hand arithmetic.
 import gc
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mhdlab import fieldops, solver
+from mhdlab import fieldops, scenario, solver
 from mhdlab.constitutive import (
     Const,
     Power,
     Sum,
     Tabulated,
     conductivity_potential,
+    entropy,
     heat_content,
     make_standard_law,
     pressure,
+    thermal_pressure_potential,
 )
 from mhdlab.errors import ConfigError, InvariantViolation
 from mhdlab.fieldops import (
@@ -50,8 +53,11 @@ from mhdlab.solver import (
     run,
     stable_dt,
     step,
+    step_limits,
 )
 from test_rhs_oracle import induction_rhs, laplacian, stress_divergence
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _uniform_state(grid, rho=1.0, theta=1.0):
@@ -681,6 +687,124 @@ def test_stable_dt_sink_limited():
     assert stable_dt(grid, law, params, state) == pytest.approx(
         0.4 * 7.5e-4, rel=1e-6
     )
+
+
+def test_step_limits_take_kappa_node_by_node():
+    # theta_max = 2 sits where rho = 1, and min rho = 0.5 where theta = 1.
+    # With kappa = 1 + theta^3, delta = 0.1 and c_v = 1, the node-wise
+    # maximum of kappa/((rho + delta) c_v) is max(2/0.6, 9/1.1) = 9/1.1, not
+    # the 9/0.6 that pairs kappa(theta_max) with min rho.  Compact d2 has
+    # radius 4/h^2, so the entry is 2 h^2/(4 * 9/1.1).
+    grid = Grid(shape=(9, 1, 1), extents=(1.0, 1.0, 1.0))
+    law, params = make_standard_law(), SchemeParams(epsilon=0.05, delta=0.1)
+    state = _uniform_state(grid)
+    state.rho[::2] = 0.5
+    state.theta[1::2] = 2.0
+    h = 1.0 / 8.0
+    assert step_limits(grid, law, params, state).kappa == pytest.approx(
+        2.0 * h * h / (4.0 * 9.0 / 1.1), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("pieces", ["const", "power"])
+def test_step_limits_charge_lam_to_the_momentum_entry(pieces):
+    # rhs takes the stress as d1 of d1, of radius 1/h_j^2 per active axis, on
+    # the coefficient (2 mu + lam)/rho; lam cuts the entry by (2 mu + lam)/(2 mu)
+    grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.3, 1.0))
+    params = SchemeParams(epsilon=0.05, delta=0.1)
+    radius = 8.0**2 + (6.0 / 1.3) ** 2
+    state = _smooth_state(grid, make_standard_law(), params)
+    if pieces == "const":
+        laws = [make_standard_law(mu0=0.5, lam0=lam) for lam in (0.0, 3.0)]
+        coeff = [1.0 / np.min(state.rho), 4.0 / np.min(state.rho)]
+    else:
+        base = replace(make_standard_law(), mu=Power(0.5, 1.0))
+        laws = [base, replace(base, lam=Sum(Const(0.1), Power(0.25, 2.0)))]
+        theta, rho = state.theta, state.rho
+        coeff = [np.max(theta / rho), np.max((theta + 0.1 + 0.25 * theta**2) / rho)]
+    limits = [step_limits(grid, law, params, state).momentum for law in laws]
+    assert limits == pytest.approx([2.0 / (radius * c) for c in coeff], rel=1e-12)
+    if pieces == "const":
+        assert limits[0] / limits[1] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_step_limits_charge_nu_to_d1_of_d1():
+    # curl curl is d1 of d1: 2/(nu * 2/h^2) on a square 2D grid, 4 times the
+    # h^2/(4 nu) of the compact d2
+    grid = Grid(shape=(9, 9, 1), extents=(1.0, 1.0, 1.0))
+    law, params = make_standard_law(nu=0.3), SchemeParams(epsilon=0.05, delta=0.1)
+    h = 1.0 / 8.0
+    assert step_limits(grid, law, params, _uniform_state(grid)).nu == pytest.approx(
+        h * h / 0.3, rel=1e-12
+    )
+
+
+def test_step_limits_wave_entry_at_rest_is_h_over_c():
+    # c^2 = dp/drho along the isentrope through the state, of the total
+    # pressure p(rho, theta) + delta rho^beta, by a central difference
+    grid = Grid(shape=(17, 1, 1), extents=(1.0, 1.0, 1.0))
+    law, params = make_standard_law(), SchemeParams(epsilon=0.05, delta=0.1)
+    rho0, theta0 = 1.3, 0.7
+    s0 = entropy(law, rho0, theta0)
+
+    def p_total(rho):
+        theta = np.exp((s0 + thermal_pressure_potential(law, rho)) / law.c_v)
+        return float(pressure(law, rho, theta)) + params.delta * rho**params.beta
+
+    step_ = 1e-5
+    c = ((p_total(rho0 + step_) - p_total(rho0 - step_)) / (2.0 * step_)) ** 0.5
+    limits = step_limits(grid, law, params, _uniform_state(grid, rho0, theta0))
+    assert limits.wave == pytest.approx((1.0 / 16.0) / c, rel=1e-8)
+
+
+def test_step_limits_name_the_binding_entry():
+    line = Grid(shape=(65, 1, 1), extents=(np.pi, 1.0, 1.0))
+    square = Grid(shape=(9, 9, 1), extents=(1.0, 1.0, 1.0))
+    weak = make_standard_law(nu=1e-3, mu0=1e-3, kappa0=1e-3)
+    cases = [
+        # the cases of the closed-form tests above
+        (line, weak, SchemeParams(epsilon=2.0, delta=0.1), _uniform_state(line), "eps"),
+        (line, weak, SchemeParams(epsilon=1e-3, delta=0.5), _uniform_state(line, theta=10.0), "sink"),
+        (line, make_standard_law(), SchemeParams(epsilon=0.05, delta=0.1), _uniform_state(line), "kappa"),
+        (line, make_standard_law(lam0=20.0), SchemeParams(epsilon=0.05, delta=0.1), _uniform_state(line),
+         "momentum"),
+        (line, make_standard_law(nu=10.0), SchemeParams(epsilon=0.05, delta=0.1), _uniform_state(line), "nu"),
+        (square, weak, SchemeParams(epsilon=1e-3, delta=0.1), _uniform_state(square), "wave"),
+    ]
+    for grid, law, params, state, name in cases:
+        limits = step_limits(grid, law, params, state)
+        assert limits.binding == name
+        assert stable_dt(grid, law, params, state) == params.safety * getattr(limits, name)
+
+
+def test_step_limits_need_closed_forms_of_the_pressures():
+    # rhs runs on any p_th, but no wave speed is bounded without its closed form
+    grid = Grid(shape=(9, 7, 1), extents=(1.0, 1.0, 1.0))
+    law, params = make_standard_law(p_th=lambda rho: 0.5 * rho), SchemeParams(epsilon=0.05, delta=0.1)
+    state = _uniform_state(grid)
+    rhs(grid, law, params, state.rho, state.u, state.theta, state.H)
+    with pytest.raises(TypeError, match="no sound speed bound: no closed form for"):
+        step_limits(grid, law, params, state)
+
+
+def test_large_lam_reproducer_tracks_the_small_step_run():
+    # ROADMAP item 1's reproducer.  The limit that left lam out reached max
+    # theta 12.7 and 43.0 at safety 0.4 and 1.0, against 1.05 at 0.05.
+    sc = scenario.load_scenario(
+        CONFIGS / "sweep_delta.ini",
+        ("law.lam0=50", "law.mu0=1", "grid.shape=17 17 1", "scheme.t_end=0.05"),
+    )
+
+    def max_theta(safety):
+        params = replace(sc.params, safety=safety)
+        state0, _ = mollify_initial_data(sc.grid, sc.law, params, *scenario.initial_fields(sc))
+        peaks = []
+        run(sc.grid, sc.law, params, state0, record_every=1,
+            observer=lambda i, state, incidents: peaks.append(float(np.max(state.theta))))
+        return max(peaks)
+
+    reference = max_theta(0.05)
+    assert [max_theta(0.4), max_theta(1.0)] == pytest.approx([reference] * 2, rel=0.05)
 
 
 def test_step_rejects_oversized_dt():
