@@ -62,10 +62,9 @@ PRIMITIVES = "tests/test_constitutive.py::test_primitive_forms_and_derivatives"
 RHS = "tests/test_solver.py::test_rhs_bitwise_matches_reference"
 
 allow(ERROR, "tests/test_constitutive.py::test_viscosity_without_a_range_is_refused",
-      "constitutive:Const.__repr__", "constitutive:Power.__repr__", "constitutive:Sum.__repr__")
+      "constitutive:PowerSum.__repr__")
 allow(ERROR, "tests/test_constitutive.py::test_tabulated_potentials_have_no_closed_form",
       "constitutive:Tabulated.__repr__")
-allow(ERROR, "tests/test_mms.py::test_rejects_nonstandard_law", "mms:_family_scalars.bad")
 allow(ERROR, "tests/test_solver.py::test_step_limits_name_the_binding_entry",
       "solver:StepLimits.binding")
 allow(ERROR, "tests/test_solver.py::test_step_limits_need_closed_forms_of_the_pressures",
@@ -106,7 +105,6 @@ allow(roadmap(8), "tests/test_compactness.py::test_commutator_one_mode_closed_fo
 allow(roadmap(8), "tests/test_compactness.py::test_effective_flux_subtracts_dilatation",
       "compactness:effective_viscous_flux")
 allow(roadmap(10), PRIMITIVES,
-      "constitutive:Const.deriv", "constitutive:Sum.deriv",
       "constitutive:Tabulated.__init__", "constitutive:Tabulated.__call__")
 allow(roadmap(10), RHS, "constitutive:_call_into")
 

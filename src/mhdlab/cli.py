@@ -8,6 +8,7 @@ runtime invariant (3) from a numerical blow-up (4).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -84,12 +85,14 @@ def _cmd_mms(args) -> int:
     else:
         spatial = spatial_convergence_study(law, params)
         temporal = temporal_convergence_study(law, params)
-    for rep, name in ((spatial, "spatial"), (temporal, "temporal")):
+    reports = {"spatial": spatial, "temporal": temporal}
+    for name, rep in reports.items():
         with open(out / f"mms-{name}.csv", "w") as fh:
             fh.write("resolution," + ",".join(rep.errors) + "\n")
             for i, r in enumerate(rep.resolutions):
                 cells = ",".join(format(rep.errors[b][i], ".17g") for b in rep.errors)
                 fh.write(f"{r:g},{cells}\n")
+    for name, rep in reports.items():
         print(f"{name} orders:", {b: round(o[-1], 3) for b, o in rep.orders.items()})
     return 0
 
@@ -129,7 +132,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed early, as `| head -1` does.  Each command prints
+        # once its work is done, so its status is 0; the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,23 +16,24 @@ plus the renormalized variants Q_h, K_h obtained by weighting the integrand
 with h(theta) = (1+theta)^-omega.
 
 The specific heat c_v is a float, as the scheme assumes: Q and Q_h have
-closed forms and Q inverts exactly.  The other coefficients are composed
-from a small catalog of primitive forms: constant, power, sums of these,
-and piecewise-linear tables.  Every potential has a closed form for the
-first three; a table has none, so it may serve only as mu or lambda, which
-enter no potential.  A potential of any other piece raises TypeError: there
-is no quadrature fallback, and the module imports no scipy.  K_h has no
-elementary form and is read from a dense cumulative Simpson table.
+closed forms and Q inverts exactly.  Every other coefficient is either a
+PowerSum, the monomials c x^e of a sum held in order as pairs (c, e), e = 0
+being the constant c, which Const, Power and Sum build; or a
+piecewise-linear table, which has no potential and may serve only as mu or
+lambda.  A potential of a table, or of any other callable, raises
+TypeError: there is no quadrature fallback, and the module imports no
+scipy.  K_h has no elementary form and is read from a dense cumulative
+Simpson table.  No other module looks inside a piece.
 
-The value and the integral from zero of a constant, power or sum are step
-lists in the idiom of fieldops.d1_steps: value_steps and integral_steps
-pass each numpy call of the closed form to a builder b, as b.emit(fn,
-*args), on arrays from b.buf(), with x**e read from b.power(x, e).  The
-pieces' __call__ and conductivity_potential make those steps as they are
-emitted; solver.rhs binds them into its compiled program, whose builder
-takes each power once.  A constant's value is its float, and a sum
-adds its terms left to right from 0, as sum() does, so both routes give
-the bits the plain numpy expressions give.
+The value and the integral from zero of a PowerSum are step lists in the
+idiom of fieldops.d1_steps: value_steps and integral_steps pass each numpy
+call of the closed form to a builder b, as b.emit(fn, *args), on arrays
+from b.buf(), with x**e read from b.power(x, e).  A PowerSum's __call__
+and conductivity_potential make those steps as they are emitted;
+solver.rhs binds them into its compiled program, whose builder takes each
+power once.  A constant's value is its float, a monomial of x one
+multiply, and several are added left to right from 0, as sum() adds
+them, so both routes give the bits the plain numpy expressions give.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "PowerSum",
     "Const",
     "Power",
     "Sum",
@@ -122,27 +124,35 @@ def value_steps(prim, x, b):
     """The steps of prim(x) on the builder b: a float for a constant, else
     an array of b's that the caller may overwrite.  A piece with no closed
     form, a table among them, is one call of its own function."""
-    steps = getattr(prim, "steps", None)
-    if steps is not None:
-        return steps(x, b)
+    if isinstance(prim, PowerSum):
+        return prim.steps(x, b)
     out = b.buf()
     b.emit(_call_into, prim, x, out)
     return out
 
 
+def power_terms(prim) -> tuple:
+    """The monomials ((c, e), ...) of a PowerSum; TypeError for any other
+    piece."""
+    if not isinstance(prim, PowerSum):
+        raise TypeError(f"no closed form for {prim!r}")
+    return prim.terms
+
+
 def integral_steps(prim, x, b, out=None):
     """The steps of int_0^x prim(s) ds on the builder b, written into out,
     or into an array of b's when out is None."""
-    steps = getattr(prim, "integral_steps", None)
-    if steps is None:
-        raise TypeError(f"no closed form for {prim!r}")
-    return steps(x, b, out)
+    power_terms(prim)  # refuses a piece with no closed form
+    return prim.integral_steps(x, b, out)
 
 
 def _fold(values, b):
-    """0 + v_1 + v_2 + ..., added left to right as sum() adds them: the
-    leading floats in Python, the rest into the first array, which turns
-    its -0.0 into +0.0 with the 0 that sum() starts from."""
+    """A lone value as it is, else 0 + v_1 + v_2 + ..., added left to right
+    as sum() adds them: the leading floats in Python, the rest into the
+    first array, which turns its -0.0 into +0.0 with the 0 that sum()
+    starts from."""
+    if len(values) == 1:
+        return values[0]
     acc, total = 0.0, None
     for v in values:
         if total is not None:
@@ -155,85 +165,60 @@ def _fold(values, b):
     return acc if total is None else total
 
 
-class Const:
-    """Constant coefficient c."""
+class PowerSum:
+    """sum_i c_i x**e_i, held as its monomials (c_i, e_i) in order."""
 
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def __call__(self, x):
-        return _evaluate(self.steps, x)
-
-    def steps(self, x, b):
-        return self.c
-
-    def integral_steps(self, x, b, out=None):
-        out = b.buf() if out is None else out
-        b.emit(np.multiply, x, self.c, out)
-        return out
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x) if x.ndim else 0.0
-
-    def __repr__(self):
-        return f"Const({self.c})"
-
-
-class Power:
-    """Monomial coef * x**expo."""
-
-    def __init__(self, coef: float, expo: float):
-        self.coef = float(coef)
-        self.expo = float(expo)
+    def __init__(self, terms):
+        self.terms = tuple((float(c), float(e)) for c, e in terms)
 
     def __call__(self, x):
         return _evaluate(self.steps, x)
 
     def steps(self, x, b):
-        out = b.buf()
-        b.emit(np.multiply, b.power(x, self.expo), self.coef, out)
-        return out
+        values = []
+        for c, e in self.terms:
+            if e:
+                values.append(b.buf())
+                b.emit(np.multiply, b.power(x, e), c, values[-1])
+            else:
+                values.append(c)
+        return _fold(values, b)
 
     def integral_steps(self, x, b, out=None):
-        e = self.expo + 1.0
-        if e <= 0:
-            raise ValueError(f"non-integrable power {self.expo} at zero")
-        out = b.buf() if out is None else out
-        b.emit(np.multiply, b.power(x, e), self.coef, out)
-        b.emit(np.true_divide, out, e, out)
-        return out
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.coef * self.expo * np.power(x, self.expo - 1.0)
-
-    def __repr__(self):
-        return f"Power({self.coef}, {self.expo})"
-
-
-class Sum:
-    """Sum of primitive terms."""
-
-    def __init__(self, *terms):
-        self.terms = terms
-
-    def __call__(self, x):
-        return _evaluate(self.steps, x)
-
-    def steps(self, x, b):
-        return _fold([value_steps(t, x, b) for t in self.terms], b)
-
-    def integral_steps(self, x, b, out=None):
-        # the first term's integral is written into out, and the sum with it
-        parts = [integral_steps(t, x, b, None if i else out) for i, t in enumerate(self.terms)]
+        parts = []  # the first monomial's integral is written into out
+        for c, e in self.terms:
+            parts.append(b.buf() if out is None or parts else out)
+            if not e:
+                b.emit(np.multiply, x, c, parts[-1])
+            elif e > -1.0:
+                b.emit(np.multiply, b.power(x, e + 1.0), c, parts[-1])
+                b.emit(np.true_divide, parts[-1], e + 1.0, parts[-1])
+            else:
+                raise ValueError(f"non-integrable power {e} at zero")
         return _fold(parts, b)
 
     def deriv(self, x):
-        return sum(t.deriv(x) for t in self.terms)
+        x = np.asarray(x, dtype=float)
+        return sum(c * e * np.power(x, e - 1.0) if e else np.zeros_like(x) for c, e in self.terms)
 
     def __repr__(self):
-        return "Sum(" + ", ".join(repr(t) for t in self.terms) + ")"
+        parts = [f"Power({c}, {e})" if e else f"Const({c})" for c, e in self.terms]
+        return parts[0] if len(parts) == 1 else f"Sum({', '.join(parts)})"
+
+
+def Const(c: float) -> PowerSum:
+    """Constant coefficient c."""
+    return PowerSum([(c, 0.0)])
+
+
+def Power(coef: float, expo: float) -> PowerSum:
+    """Monomial coef * x**expo."""
+    return PowerSum([(coef, expo)])
+
+
+def Sum(*pieces) -> PowerSum:
+    """Sum of PowerSum pieces: their monomials, in order."""
+    return PowerSum(term for p in pieces for term in power_terms(p))
 
 
 class Tabulated:
@@ -315,11 +300,16 @@ def _value_range(prim):
 
     Exact for a table too, since it is extrapolated flat beyond its ends.
     """
-    if isinstance(prim, Const):
-        return prim.c, prim.c
     if isinstance(prim, Tabulated):
         return float(np.min(prim.ys)), float(np.max(prim.ys))
+    if isinstance(prim, PowerSum) and not any(e for _, e in prim.terms):
+        return (sum(c for c, _ in prim.terms),) * 2
     raise TypeError(f"no closed-form range for {prim!r}")
+
+
+def _is_zero_coeff(prim) -> bool:
+    """Whether prim is the constant 0."""
+    return isinstance(prim, PowerSum) and all(c == 0.0 and not e for c, e in prim.terms)
 
 
 def make_standard_law(
@@ -355,26 +345,19 @@ def make_standard_law(
 
     slack = 1e-9
     mu_min, mu_max = _value_range(mu)
+    p_th_terms = p_th.terms if isinstance(p_th, PowerSum) else ()
+    kappa_terms = kappa.terms if isinstance(kappa, PowerSum) else ()
     # p_th = c rho^e is bounded by c (1 + rho^(gamma/3)) for 0 <= e <= gamma/3
-    a3 = p_th.coef if isinstance(p_th, Power) else pth0
+    a3 = p_th_terms[0][0] if len(p_th_terms) == 1 and p_th_terms[0][1] else pth0
     # kappa = a + b theta^alpha lies between min(a, b) and max(a, b) times
     # (1 + theta^alpha)
-    kappa_lo = kappa_hi = kappa0
-    if (
-        isinstance(kappa, Sum)
-        and len(kappa.terms) == 2
-        and isinstance(kappa.terms[0], Const)
-        and isinstance(kappa.terms[1], Power)
-        and kappa.terms[1].expo == alpha
-    ):
-        a, b = kappa.terms[0].c, kappa.terms[1].coef
-        kappa_lo, kappa_hi = min(a, b), max(a, b)
+    a, b = [c for c, _ in kappa_terms] if [e for _, e in kappa_terms] == [0.0, alpha] else [kappa0] * 2
     bounds = HypothesisBounds(
         a1=pe0 * gamma * (1.0 - slack),
         a2=pe0 * (1.0 + slack),
         a3=a3 * (1.0 + slack),
-        kappa_lo=kappa_lo * (1.0 - slack),
-        kappa_hi=kappa_hi * (1.0 + slack),
+        kappa_lo=min(a, b) * (1.0 - slack),
+        kappa_hi=max(a, b) * (1.0 + slack),
         mu_lo=mu_min * (1.0 - slack),
         mu_hi=mu_max * (1.0 + slack),
         lam_hi=max(_value_range(lam)[1], 0.0) * (1.0 + slack),
@@ -402,30 +385,15 @@ def make_standard_law(
 
 
 def _antideriv_over_sq(prim, rho):
-    """int_1^rho prim(s)/s^2 ds with closed forms for catalog primitives."""
+    """int_1^rho prim(s)/s^2 ds: the sum over the monomials c s^e of prim of
+    c (1 - 1/rho) at e = 0, c log(rho) at e = 1, else c (rho^(e-1) - 1)/(e-1)."""
     rho = np.asarray(rho, dtype=float)
-    if isinstance(prim, Const):
-        return prim.c * (1.0 - 1.0 / rho)
-    if isinstance(prim, Power):
-        e = prim.expo - 1.0
-        if abs(e) < 1e-14:
-            return prim.coef * np.log(rho)
-        return prim.coef * (np.power(rho, e) - 1.0) / e
-    if isinstance(prim, Sum):
-        return sum(_antideriv_over_sq(t, rho) for t in prim.terms)
-    raise TypeError(f"no closed form for {prim!r}")
-
-
-def power_terms(prim) -> tuple:
-    """prim as a sum of monomials: ((coef, expo), ...) for a constant,
-    power or sum; TypeError for any other piece."""
-    if isinstance(prim, Const):
-        return ((prim.c, 0.0),)
-    if isinstance(prim, Power):
-        return ((prim.coef, prim.expo),)
-    if isinstance(prim, Sum):
-        return tuple(term for t in prim.terms for term in power_terms(t))
-    raise TypeError(f"no closed form for {prim!r}")
+    return sum(
+        c * (1.0 - 1.0 / rho) if not e
+        else c * np.log(rho) if abs(e - 1.0) < 1e-14
+        else c * (np.power(rho, e - 1.0) - 1.0) / (e - 1.0)
+        for c, e in power_terms(prim)
+    )
 
 
 def elastic_potential(law: ConstitutiveLaw, rho):

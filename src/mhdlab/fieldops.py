@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import Const, ConstitutiveLaw, _now
+from .constitutive import ConstitutiveLaw, _is_zero_coeff, _now
 from .grid import Grid
 
 EVEN = 1
@@ -202,10 +202,6 @@ def dissipation(law: ConstitutiveLaw, du: np.ndarray, theta) -> np.ndarray:
     if not _is_zero_coeff(law.lam):
         out += law.lam(theta) * divu * divu
     return out
-
-
-def _is_zero_coeff(fn) -> bool:
-    return isinstance(fn, Const) and fn.c == 0.0
 
 
 # ---------------------------------------------------------------------------

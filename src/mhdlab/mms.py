@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import ConstitutiveLaw
+from .constitutive import ConstitutiveLaw, power_terms
 from .errors import ConfigError
 from .grid import Grid
 from .solver import SchemeParams, State, run
@@ -52,45 +52,26 @@ SOURCE_KEYS = ("rho", "m1", "m2", "m3", "w", "H1", "H2", "H3")
 # stage times evaluated together once the requests advance by a fixed step
 SOURCE_BLOCK = 16
 
-_SAMPLE_RHO = (0.5, 1.0, 1.7)
-_SAMPLE_THETA = (0.3, 1.0, 2.2)
-
 
 def _family_scalars(law: ConstitutiveLaw) -> dict:
-    """Read the power-family knobs off a law, verifying the shapes match."""
-    vals = {
-        "gamma": law.gamma,
-        "alpha": law.alpha,
-        "nu": law.nu,
-        "pe0": float(law.p_e(1.0)),
-        "pth0": float(law.p_th(1.0)),
-        "mu0": float(law.mu(1.0)),
-        "lam0": float(law.lam(1.0)),
-        "kappa0": float(law.kappa(0.0)),
-        "cv0": law.c_v,
-    }
-
-    def bad(name, got, want):
-        raise ConfigError(
-            f"manufactured sources cover the standard power-family closure "
-            f"only; {name} deviates ({got:.6g} vs {want:.6g})"
-        )
-
-    for r in _SAMPLE_RHO:
-        want = vals["pth0"] * r ** (vals["gamma"] / 3.0)
-        if not math.isclose(float(law.p_th(r)), want, rel_tol=1e-9):
-            bad("p_th", float(law.p_th(r)), want)
-    for th in _SAMPLE_THETA:
-        if not math.isclose(float(law.mu(th)), vals["mu0"], rel_tol=1e-9):
-            bad("mu", float(law.mu(th)), vals["mu0"])
-        if not math.isclose(
-            float(law.lam(th)), vals["lam0"], rel_tol=1e-9, abs_tol=1e-12
-        ):
-            bad("lam", float(law.lam(th)), vals["lam0"])
-        want = vals["kappa0"] * (1.0 + th ** vals["alpha"])
-        if not math.isclose(float(law.kappa(th)), want, rel_tol=1e-9):
-            bad("kappa", float(law.kappa(th)), want)
-    return vals
+    """The coefficient of each piece of a power-family law, read off its
+    monomials, verifying the shapes match: p_e = pe0 rho^gamma, p_th = pth0
+    rho^(gamma/3), mu = mu0, lambda = lam0 and kappa = kappa0 (1 +
+    theta^alpha)."""
+    shapes = dict(p_e=(law.gamma,), p_th=(law.gamma / 3.0,), mu=(0.0,), lam=(0.0,),
+                  kappa=(0.0, law.alpha))
+    coefs = {}
+    for name, expos in shapes.items():
+        piece = getattr(law, name)
+        try:
+            terms = power_terms(piece)
+        except TypeError:
+            terms = ()
+        if tuple(e for _, e in terms) != expos or len({c for c, _ in terms}) != 1:
+            raise ConfigError("manufactured sources cover the standard power-family closure "
+                              f"only; {name} is {piece!r}")
+        coefs[name] = terms[0][0]
+    return coefs
 
 
 @dataclass
@@ -252,9 +233,9 @@ def _jets(trig: dict, t) -> dict:
 def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> ManufacturedCase:
     c = _family_scalars(law)
     eps, delta, beta = params.epsilon, params.delta, params.beta
-    gamma, alpha, nu = c["gamma"], c["alpha"], c["nu"]
-    mu0, cv0, kappa0, pth0 = c["mu0"], c["cv0"], c["kappa0"], c["pth0"]
-    mu_long = 2.0 * mu0 + c["lam0"]
+    gamma, alpha, nu, cv0 = law.gamma, law.alpha, law.nu, law.c_v
+    mu0, kappa0, pth0 = c["mu"], c["kappa"], c["p_th"]
+    mu_long = 2.0 * mu0 + c["lam"]
     g3 = gamma / 3.0
 
     def source_terms(trig, t):
@@ -276,7 +257,7 @@ def make_manufactured_case(law: ConstitutiveLaw, params: SchemeParams) -> Manufa
         p_th = pth0 * rho**g3
         q = rho_x / rho
         p_x = (
-            q * (c["pe0"] * gamma * rho_g + delta * beta * rho**beta)
+            q * (c["p_e"] * gamma * rho_g + delta * beta * rho**beta)
             + p_th * (theta_x + g3 * theta * q)
         )
         lorentz = -(H2 * H2_x + H3 * H3_x)

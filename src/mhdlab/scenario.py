@@ -236,6 +236,9 @@ def load_scenario(path, overrides=()) -> Scenario:
         numbers = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
             raise ConfigError(f"{section}.{key} must be finite, got {' '.join(map(str, numbers))}")
+    times = values[("output", "snapshot_times")]
+    if any(t <= 0.0 for t in times):
+        raise ConfigError(f"output.snapshot_times must be positive, got {' '.join(map(str, times))}")
     prefix = values[("output", "prefix")]
     if prefix in ("", ".", "..") or "/" in prefix or os.sep in prefix:
         raise ConfigError(f"output.prefix must be a plain file name, got {prefix!r}")

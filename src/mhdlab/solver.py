@@ -48,11 +48,11 @@ its steps: fieldops.d1_steps or d2_steps, looked up in fieldops when the
 program compiles, emit the numpy calls of that d1 or d2 bound to the
 program's buffers.  The law enters it the same way: value_steps and
 integral_steps of constitutive emit the calls of the closed form of a
-Const, Power or Sum piece (mu, lam, p_e, p_th, and kappa for K), the steps
-the law's own functions make at once, and Q(theta) = c_v theta is one
-multiply by the law's float c_v.  A Const coefficient is its float; a
-piece with no closed form, a Tabulated mu or lam, stays one call of its
-own function, copied into a buffer.  Each distinct power
+PowerSum piece (mu, lam, p_e, p_th, and kappa for K), the steps the law's
+own functions make at once, and Q(theta) = c_v theta is one multiply by
+the law's float c_v.  A constant coefficient is its float; a piece with
+no closed form, a Tabulated mu or lam, stays one call of its own
+function, copied into a buffer.  Each distinct power
 (operand, exponent) is taken once, so one theta^(alpha+1) serves K and the
 delta-sink.  A replay therefore calls neither fieldops.d1 nor d2 nor into
 constitutive, and a wrapper of a step builder sees each stencil once per
@@ -98,9 +98,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fieldops
-from .constitutive import ConstitutiveLaw, _fold, integral_steps, power_terms, value_steps
+from .constitutive import ConstitutiveLaw, _fold, _is_zero_coeff, integral_steps, power_terms, value_steps
 from .errors import ConfigError, InvariantViolation, NumericalAbort
-from .fieldops import EVEN, ODD, _is_zero_coeff
+from .fieldops import EVEN, ODD
 from .grid import Grid
 from .projection import DivFreeProjector
 
@@ -257,7 +257,10 @@ def mollify_initial_data(
 
     H = grid.zero_walls(H0.copy())
     # the projector a run of this grid, law and params steps with
-    H = _program(grid, law, params).projector.project(H)
+    try:
+        H = _program(grid, law, params).projector.project(H)
+    except NumericalAbort as exc:
+        raise ConfigError(f"initial field cannot be made divergence-free: {exc}") from exc
 
     report = MollificationReport(
         rho_cap=cap,
@@ -397,7 +400,7 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     even = buf(6)  # phase 1 EVEN operands: u x H, ptot, rho, K
     rho, u, theta, H = even[4], odd[0:3], buf(), odd[3:6]
 
-    # the law's pieces by their closed forms: a Const coefficient is its
+    # the law's pieces by their closed forms: a constant coefficient is its
     # float, which scales an array to the same bits as a filled array would
     mu = value_steps(law.mu, theta, b)
     lam = None if _is_zero_coeff(law.lam) else value_steps(law.lam, theta, b)
@@ -597,7 +600,7 @@ def _compile_rhs(grid: Grid, law: ConstitutiveLaw, params: SchemeParams) -> Simp
     emit(np.add, heating, diss, heating)
     emit(np.multiply, heating, 1.0 - delta, heating)
     emit(np.subtract, lap[1], flux_div[1], dw)
-    # kappa's Power(k, alpha) term integrates to the same power
+    # kappa's monomial k theta^alpha integrates to the same power
     emit(np.multiply, power(theta, law.alpha + 1.0), delta, tmp)
     emit(np.subtract, dw, tmp, dw)
     emit(np.add, dw, heating, dw)
@@ -994,7 +997,6 @@ def run(
     params: SchemeParams,
     state0: State,
     *,
-    t_end: float | None = None,
     record_every: int = 50,
     observer=None,
     keep_states: bool = False,
@@ -1002,7 +1004,7 @@ def run(
     snapshot_times=(),
     max_steps: int = 2_000_000,
 ) -> RunResult:
-    """Integrate to t_end, emitting records every record_every steps.
+    """Integrate to params.t_end, emitting records every record_every steps.
 
     observer(step_index, state, incidents) is called at each record point
     (including step 0 and the final step); keep_states additionally retains
@@ -1014,7 +1016,7 @@ def run(
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    T = params.t_end if t_end is None else t_end
+    T = params.t_end
     if not T > state0.t:
         raise ValueError(f"t_end={T} must exceed the initial time {state0.t}")
 
@@ -1036,7 +1038,8 @@ def run(
         # a run that its first step limit cannot bring to T within the
         # budget ends here, with its step-0 record
         limits = step_limits(grid, law, params, state)
-        dt = params.safety * min(limits) if params.dt is None else params.dt
+        limit = params.safety * min(limits)
+        dt = limit if params.dt is None else params.dt
         predicted = (T - state.t) / dt
         if predicted > max_steps:
             source = "fixed dt" if params.dt is not None else f"step limit ({limits.binding} binds)"
@@ -1044,11 +1047,11 @@ def run(
                 f"step budget of {max_steps} steps falls short of t_end={T:.6g}: "
                 f"the first {source}, dt={dt:.6g}, predicts {predicted:.3g} steps"
             )
-        last_emitted = 0
         steps = 0
         t_stop = T - 1e-12 * max(abs(T), 1.0)
         while state.t < t_stop:
-            limit = stable_dt(grid, law, params, state)
+            if steps:
+                limit = stable_dt(grid, law, params, state)
             dt = limit if params.dt is None else params.dt
             cut = T - state.t < dt
             dt = min(dt, T - state.t)
@@ -1072,13 +1075,10 @@ def run(
                 pending_snaps.pop(0)
             if steps % record_every == 0 or state.t >= t_stop:
                 emit(steps)
-                last_emitted = steps
             if steps >= max_steps:
                 raise NumericalAbort(
                     f"step budget exhausted after {steps} steps at t={state.t:.6g} < {T}"
                 )
-        if last_emitted != steps:
-            emit(steps)
         if result.dt_min == math.inf:
             result.dt_min = result.dt_last
         result.final_state = state

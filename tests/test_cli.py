@@ -113,6 +113,9 @@ def test_run_rejects_what_the_scheme_cannot_run(tmp_path, capsys, override):
         ("initial.field_amplitude=nan", "initial.field_amplitude must be finite, got nan"),
         ("initial.rho_amplitude=nan", "initial.rho_amplitude must be finite, got nan"),
         ("output.snapshot_times=0.005 nan", "output.snapshot_times must be finite, got 0.005 nan"),
+        ("output.snapshot_times=0", "output.snapshot_times must be positive, got 0.0"),
+        ("output.snapshot_times=-1 0.005 0.5", "output.snapshot_times must be positive, got -1.0 0.005 0.5"),
+        ("grid.extents=1e-9 1e-9 1", "initial field cannot be made divergence-free: divergence cleaning"),
         ("output.prefix=a/b", "output.prefix must be a plain file name, got 'a/b'"),
         ("output.prefix=", "output.prefix must be a plain file name, got ''"),
         ("output.prefix=.", "output.prefix must be a plain file name, got '.'"),
@@ -265,6 +268,39 @@ def test_console_wiring_subprocess(tmp_path):
     )
     assert bad.returncode == 2
     assert b"config error" in bad.stderr
+
+
+@pytest.mark.parametrize("lines", [0, 1])
+def test_reader_that_closes_early_ends_the_run_cleanly(tmp_path, lines):
+    # as `mhdlab run ... | head -1` does: the run's work stands, the rest of
+    # its output goes nowhere, and it exits 0 with no traceback
+    out = tmp_path / "out"
+    argv = ["run", "--config", _cfg(tmp_path), "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "mhdlab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0, err
+    assert "Traceback" not in err
+    assert (out / "t-summary.txt").is_file()
+
+
+def test_process_pool_sweep_writes_the_serial_bytes(tmp_path, capsys):
+    # every file of every member and the summary, byte for byte
+    argv = ["sweep", "--config", str(CONFIGS / "sweep_delta.ini")]
+    for o in ("grid.shape=9 9 1", "scheme.t_end=0.01"):
+        argv += ["--override", o]
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        assert main(argv + ["--out", str(out), "--threads", threads]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) > 3 and trees[0] == trees[1]
 
 
 def test_cli_start_up_and_run_leave_scipy_unloaded(tmp_path):

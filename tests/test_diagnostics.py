@@ -337,7 +337,7 @@ def test_worst_name_tie_goes_to_first_bank_member(monkeypatch):
     # mirror-image bumps narrower than the node spacing each see one node;
     # on a uniform state their residuals agree to the last bit
     grid = Grid(shape=(5, 5, 1), extents=(1.0, 1.0, 1.0))
-    res = run(grid, LAW, PARAMS, _uniform_state(grid), t_end=0.05, keep_states=True)
+    res = run(grid, LAW, dataclasses.replace(PARAMS, t_end=0.05), _uniform_state(grid), keep_states=True)
     states = res.recorded_states
     values = dict(thermal_weak_residual(grid, LAW, PARAMS, states).residuals)
     for profile in ("rampdown", "interior"):
